@@ -3,12 +3,14 @@
 Runs the full static-analysis pipeline (module rules + whole-program
 project pass) over ``src/repro`` twice against the same disk cache:
 
-* **cold** — a fresh cache directory; every file is parsed, summarized,
-  and analyzed, and the project pass builds its call graph from scratch;
+* **cold** — a fresh cache directory; every file is parsed once, its
+  module rules run and its summary is built in the same step, and the
+  project pass builds its call graph from scratch;
 * **warm** — a fresh :class:`ArtifactCache` *instance* over the now
   populated directory, modeling what a new ``gramer check`` process pays
-  on an unchanged tree (the pre-commit path): per-file records and
-  module summaries come off disk, only the project fixpoint re-runs.
+  on an unchanged tree (the pre-commit path): each file's one record
+  (findings, suppressions, summary) comes off disk, only the project
+  fixpoint re-runs.
 
 Writes the measurement record to ``benchmarks/BENCH_check.json``.
 
@@ -99,7 +101,7 @@ def main() -> None:
         speedup = record["warm_speedup_x"]
         assert speedup >= 5.0, (
             f"warm check only {speedup:.1f}x faster than cold; expected "
-            ">= 5x — the per-file/summary cache is not being hit"
+            ">= 5x — the per-file record cache is not being hit"
         )
         assert record["findings"]["cold"] == record["findings"]["warm"], (
             "cache-served findings diverge from cold analysis"

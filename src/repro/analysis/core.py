@@ -25,10 +25,17 @@ anchor do not have to share a line number.  Suppressions that silence
 nothing are themselves findings (``GRM002``), except entries that name
 ``GRM002`` explicitly — the sanctioned way to keep a speculative entry.
 
-Results are incremental: per-file analysis records are content-addressed
-in the runtime's :class:`~repro.runtime.cache.ArtifactCache` (kind
-``check/file``), keyed by source hash and by a digest of the analyzer's
-own sources, so a warm re-check of an unchanged tree re-parses nothing.
+Each file gets one analysis step: it parses the file once, walks the
+tree once into :attr:`ModuleContext.nodes` (every module rule and the
+suppression scanner iterate that list), runs the module rules, and
+reduces the same tree to the
+:class:`~repro.analysis.summary.ModuleSummary` the project pass needs.
+The step's :class:`FileRecord` (findings, suppressions, summary) is
+content-addressed in the runtime's
+:class:`~repro.runtime.cache.ArtifactCache` (kind ``check/file``), keyed
+by source hash and by a digest of the analyzer's own sources, so a warm
+re-check of an unchanged tree re-parses nothing.  The project pass takes
+its summaries from these records; it never parses on its own.
 
 Rules are registered declaratively (:func:`rule`) into a process-wide
 registry, keyed by a stable ID (``GRM<family><nn>``); families group IDs
@@ -46,6 +53,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
+from .summary import ModuleSummary, summarize_module
+
 if TYPE_CHECKING:
     from repro.runtime.cache import ArtifactCache
 
@@ -53,17 +62,20 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ANALYSIS_VERSION",
+    "FileRecord",
     "Finding",
     "ModuleContext",
     "Rule",
     "RuleError",
     "Suppression",
     "all_rules",
+    "analysis_digest",
     "check_paths",
     "check_source",
     "format_finding",
     "get_rule",
     "iter_python_files",
+    "module_records",
     "project_rule",
     "rule",
     "select_rules",
@@ -106,6 +118,12 @@ class ModuleContext:
     # Path relative to the checked root, POSIX-style, for stable matching
     # (rules that scope themselves to sub-packages match against this).
     relpath: str
+    #: Every node of ``tree`` in ``ast.walk`` order, walked once here;
+    #: rules iterate this instead of re-walking the whole module.
+    nodes: tuple[ast.AST, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "nodes", tuple(ast.walk(self.tree)))
 
     def finding(self, node: ast.AST, rule_id: str, message: str) -> Finding:
         """Build a finding anchored at ``node``."""
@@ -276,7 +294,7 @@ class Suppression:
         return self.ids is None or finding.rule_id.upper() in self.ids
 
 
-def _statement_units(tree: ast.Module) -> dict[int, set[int]]:
+def _statement_units(nodes: Iterable[ast.AST]) -> dict[int, set[int]]:
     """Map each physical line to the full line-span of its statement unit.
 
     A *unit* is the set of lines a suppression anywhere inside it covers:
@@ -294,7 +312,7 @@ def _statement_units(tree: ast.Module) -> dict[int, set[int]]:
         for line in span:
             units.setdefault(line, set()).update(span)
 
-    for node in ast.walk(tree):
+    for node in nodes:
         if not isinstance(node, ast.stmt):
             continue
         decorators = getattr(node, "decorator_list", None)
@@ -311,7 +329,9 @@ def _statement_units(tree: ast.Module) -> dict[int, set[int]]:
     return units
 
 
-def _collect_suppressions(source: str, tree: ast.Module | None) -> list[Suppression]:
+def _collect_suppressions(
+    source: str, nodes: Iterable[ast.AST]
+) -> list[Suppression]:
     """Parse every suppression comment, with aliased line coverage.
 
     Parsed from real comment tokens, so a ``# gramer: ignore`` inside a
@@ -321,7 +341,7 @@ def _collect_suppressions(source: str, tree: ast.Module | None) -> list[Suppress
     then widened to the statement unit the covered line belongs to.
     """
     source_lines = source.splitlines()
-    units = _statement_units(tree) if tree is not None else {}
+    units = _statement_units(nodes)
 
     def comment_only(lineno: int) -> bool:  # 1-based line number
         if lineno > len(source_lines):
@@ -432,11 +452,13 @@ def _unused_suppression_findings(
 
 @dataclass(frozen=True)
 class FileRecord:
-    """Cached module-scope result for one file.
+    """Cached result of one file's analysis step.
 
     ``findings`` are already suppression-filtered; ``suppressions`` and
     ``used`` travel along so the project pass and GRM002 synthesis can
-    finish the job without re-reading the file.
+    finish the job without re-reading the file.  ``summary`` is what the
+    project pass knows of the module (``None`` when it does not parse,
+    and ``findings`` then holds the GRM000 finding).
     """
 
     path: str
@@ -444,6 +466,7 @@ class FileRecord:
     findings: tuple[Finding, ...]
     suppressions: tuple[Suppression, ...]
     used: tuple[int, ...]
+    summary: ModuleSummary | None
 
 
 def _analyze_source(
@@ -452,7 +475,11 @@ def _analyze_source(
     rules: Iterable[Rule],
     relpath: str | None = None,
 ) -> FileRecord:
-    """Run module-scope rules over one source; no GRM002 synthesis yet."""
+    """The one analysis step per file: parse, walk, rules, summary.
+
+    No GRM002 synthesis yet: that needs the project pass's suppression
+    hits too.
+    """
     path = Path(path)
     rel = relpath if relpath is not None else path.as_posix()
     try:
@@ -471,9 +498,10 @@ def _analyze_source(
             findings=(finding,),
             suppressions=(),
             used=(),
+            summary=None,
         )
     context = ModuleContext(path=path, source=source, tree=tree, relpath=rel)
-    suppressions = _collect_suppressions(source, tree)
+    suppressions = _collect_suppressions(source, context.nodes)
     raw = [
         finding
         for r in rules
@@ -487,6 +515,7 @@ def _analyze_source(
         findings=tuple(sorted(kept, key=Finding.sort_key)),
         suppressions=tuple(suppressions),
         used=tuple(sorted(used)),
+        summary=summarize_module(tree, context.nodes),
     )
 
 
@@ -531,11 +560,32 @@ def iter_python_files(paths: Iterable[Path | str]) -> Iterator[Path]:
             raise FileNotFoundError(f"not a Python file or directory: {entry}")
 
 
+_digest_cache: str | None = None
+
+
+def analysis_digest() -> str:
+    """SHA-256 over the analyzer's own source files.
+
+    Salting cache keys with this makes every file record
+    self-invalidating: editing any rule or the engine re-checks the world
+    once, then re-caches.
+    """
+    global _digest_cache
+    if _digest_cache is None:
+        package_root = Path(__file__).resolve().parent
+        hasher = hashlib.sha256()
+        for path in sorted(package_root.rglob("*.py")):
+            hasher.update(path.relative_to(package_root).as_posix().encode())
+            hasher.update(b"\0")
+            hasher.update(path.read_bytes())
+            hasher.update(b"\0")
+        _digest_cache = hasher.hexdigest()
+    return _digest_cache
+
+
 def _file_record_key(
     relpath: str, path: str, source_bytes: bytes, rule_ids: list[str]
 ) -> dict[str, Any]:
-    from .project import analysis_digest
-
     return {
         "relpath": relpath,
         "path": path,
@@ -549,10 +599,56 @@ def _file_record_key(
 def _analyze_file_worker(
     path_str: str, relpath: str, rule_ids: tuple[str, ...]
 ) -> FileRecord:
-    """Pool worker: module-scope analysis of one file (top-level, picklable)."""
+    """Pool worker: the analysis step for one file (top-level, picklable)."""
     rules_ = [get_rule(rule_id) for rule_id in rule_ids]
     source = Path(path_str).read_text(encoding="utf-8")
     return _analyze_source(source, Path(path_str), rules_, relpath)
+
+
+def module_records(
+    files: Iterable[Path],
+    rules: Iterable[Rule] = (),
+    *,
+    cache: "ArtifactCache | None" = None,
+    jobs: int = 1,
+) -> dict[str, FileRecord]:
+    """Each file's :class:`FileRecord`, keyed by resolved absolute path.
+
+    Records are looked up in ``cache`` first (kind ``check/file``); the
+    misses run the analysis step, fanned out across a process pool when
+    ``jobs > 1``, and are stored back.  The resolved-path keys let the
+    project pass, whose paths come from a resolved root, find records of
+    as-given relative arguments; records keep the as-given path.
+    """
+    rule_ids = tuple(sorted(r.rule_id for r in rules if r.scope == "module"))
+    records: dict[str, FileRecord] = {}
+    pending: list[tuple[Path, dict[str, Any]]] = []
+    for path in files:
+        key: dict[str, Any] = {}
+        if cache is not None:
+            key = _file_record_key(
+                path.as_posix(), str(path), path.read_bytes(), list(rule_ids)
+            )
+            hit, value = cache.lookup("check/file", key)
+            if hit and isinstance(value, FileRecord):
+                records[str(path.resolve())] = value
+                continue
+        pending.append((path, key))
+
+    work = [(str(path), path.as_posix(), rule_ids) for path, _ in pending]
+    fresh: list[FileRecord]
+    if jobs > 1 and len(work) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            fresh = list(pool.map(_analyze_file_worker, *zip(*work)))
+    else:
+        fresh = [_analyze_file_worker(*args) for args in work]
+    for (path, key), record in zip(pending, fresh):
+        if cache is not None:
+            cache.store("check/file", key, record)
+        records[str(path.resolve())] = record
+    return records
 
 
 def check_paths(
@@ -567,19 +663,18 @@ def check_paths(
 ) -> list[Finding]:
     """Run the engine over files/trees; returns all findings, sorted.
 
-    Module-scope rules run per file, with each file's record cached
-    content-addressed (``use_cache``/``cache``); project-scope rules run
-    once per *directory* argument over a
-    :class:`~repro.analysis.project.ProjectAnalysis` of that tree.
-    ``jobs > 1`` fans cold per-file analysis out across a process pool.
-    ``only`` restricts *reported* findings to the given files while the
-    project pass still sees the whole tree (``gramer check --changed``).
+    Every file gets one analysis step (:func:`module_records`), with its
+    record cached content-addressed (``use_cache``/``cache``) and cold
+    steps fanned out across ``jobs`` processes.  Project-scope rules then
+    run once per *directory* argument over a
+    :class:`~repro.analysis.project.ProjectAnalysis` built from those
+    records.  ``only`` restricts *reported* findings to the given files
+    while the project pass still sees the whole tree (``gramer check
+    --changed``).
     """
     rules_ = select_rules(select)
-    module_rules = [r for r in rules_ if r.scope == "module"]
     project_rules = [r for r in rules_ if r.scope == "project"]
     grm002 = any(r.rule_id == "GRM002" for r in rules_)
-    module_rule_ids = tuple(sorted(r.rule_id for r in module_rules))
 
     cache_obj: "ArtifactCache | None" = cache
     if cache_obj is None and use_cache:
@@ -588,51 +683,9 @@ def check_paths(
         cache_obj = default_cache()
 
     path_args = [Path(entry) for entry in paths]
-    files = list(iter_python_files(path_args))
-
-    # -- module pass (incremental, optionally parallel) ---------------------
-    # Keyed by resolved absolute path so project findings (whose paths come
-    # from a resolved ProjectAnalysis root) match records for as-given
-    # relative arguments; records keep the as-given path for reporting.
-    records: dict[str, FileRecord] = {}
-    pending: list[tuple[Path, str, dict[str, Any]]] = []
-    for path in files:
-        relpath = path.as_posix()
-        key: dict[str, Any] = {}
-        if cache_obj is not None:
-            key = _file_record_key(
-                relpath, str(path), path.read_bytes(), list(module_rule_ids)
-            )
-            hit, value = cache_obj.lookup("check/file", key)
-            if hit and isinstance(value, FileRecord):
-                records[str(path.resolve())] = value
-                continue
-        pending.append((path, relpath, key))
-
-    fresh: list[tuple[FileRecord, dict[str, Any]]]
-    if jobs > 1 and len(pending) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                (
-                    pool.submit(
-                        _analyze_file_worker, str(path), relpath, module_rule_ids
-                    ),
-                    key,
-                )
-                for path, relpath, key in pending
-            ]
-            fresh = [(future.result(), key) for future, key in futures]
-    else:
-        fresh = [
-            (_analyze_file_worker(str(path), relpath, module_rule_ids), key)
-            for path, relpath, key in pending
-        ]
-    for record, key in fresh:
-        if cache_obj is not None and key:
-            cache_obj.store("check/file", key, record)
-        records[str(Path(record.path).resolve())] = record
+    records = module_records(
+        iter_python_files(path_args), rules_, cache=cache_obj, jobs=jobs
+    )
 
     findings: list[Finding] = []
     used: dict[str, set[int]] = {
@@ -648,7 +701,7 @@ def check_paths(
         for entry in path_args:
             if not entry.is_dir():
                 continue
-            analysis = ProjectAnalysis.build(entry, cache=cache_obj, jobs=jobs)
+            analysis = ProjectAnalysis.build(entry, records=records)
             raw = [
                 finding
                 for r in project_rules

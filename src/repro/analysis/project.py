@@ -1,63 +1,31 @@
 """Whole-program analysis: the module graph and resolved symbol table.
 
-:meth:`ProjectAnalysis.build` walks one root directory (typically
-``src/repro``), summarizes every module (:mod:`repro.analysis.summary`),
-and resolves names across file boundaries: import aliases, re-export
-chains, ``self.`` method calls (including single-inheritance bases), and
-dotted module attributes.  The result is the substrate the GRM10xx
-project rules query — see :mod:`repro.analysis.callgraph` for edges and
-reachability and :mod:`repro.analysis.taint` for the interprocedural
-taint fixpoint.
+:meth:`ProjectAnalysis.build` indexes one root directory (typically
+``src/repro``) from its modules' summaries
+(:mod:`repro.analysis.summary`) and resolves names across file
+boundaries: import aliases, re-export chains, ``self.`` method calls
+(including single-inheritance bases), and dotted module attributes.  The
+result is the substrate the GRM10xx project rules query — see
+:mod:`repro.analysis.callgraph` for edges and reachability and
+:mod:`repro.analysis.taint` for the interprocedural taint fixpoint.
 
-Summaries are content-addressed in the :class:`ArtifactCache` (kind
-``check/summary``), keyed by source hash plus the analyzer's own source
-digest, so a warm project pass re-parses nothing.  Cold builds can fan
-out across a process pool (``jobs``): :class:`ModuleSummary` is a frozen
-picklable dataclass, so workers just return summaries to the parent,
-which owns the cache.
+The summaries come from the per-file analysis step's
+:class:`~repro.analysis.core.FileRecord`\\ s, the same records (and the
+same ``check/file`` cache entries) the module rules fill, so this pass
+never parses, caches or fans out on its own.  Module names are given
+here, relative to the root, and relative imports resolve against them.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterator, Mapping
 
-from repro.runtime.cache import ArtifactCache
+from .core import FileRecord, iter_python_files, module_records
+from .summary import BackendInfo, FunctionSummary, ModuleSummary, SpecClassInfo
 
-from .summary import (
-    SUMMARY_VERSION,
-    BackendInfo,
-    FunctionSummary,
-    ModuleSummary,
-    SpecClassInfo,
-    summarize_module,
-)
-
-__all__ = ["ProjectAnalysis", "analysis_digest"]
-
-_digest_cache: str | None = None
-
-
-def analysis_digest() -> str:
-    """SHA-256 over the analyzer's own source files.
-
-    Salting cache keys with this makes every summary and finding record
-    self-invalidating: editing any rule or the engine re-checks the world
-    once, then re-caches.
-    """
-    global _digest_cache
-    if _digest_cache is None:
-        package_root = Path(__file__).resolve().parent
-        hasher = hashlib.sha256()
-        for path in sorted(package_root.rglob("*.py")):
-            hasher.update(path.relative_to(package_root).as_posix().encode())
-            hasher.update(b"\0")
-            hasher.update(path.read_bytes())
-            hasher.update(b"\0")
-        _digest_cache = hasher.hexdigest()
-    return _digest_cache
+__all__ = ["ProjectAnalysis"]
 
 
 def _module_name(root: Path, path: Path, prefix: str) -> str:
@@ -68,17 +36,6 @@ def _module_name(root: Path, path: Path, prefix: str) -> str:
     if prefix:
         parts = [prefix, *parts]
     return ".".join(parts)
-
-
-def _summarize_worker(
-    path_str: str, module: str, relpath: str
-) -> tuple[str, ModuleSummary | None, str | None]:
-    """Pool worker: parse + summarize one file (top-level, picklable)."""
-    source = Path(path_str).read_text(encoding="utf-8")
-    try:
-        return module, summarize_module(source, module, relpath), None
-    except SyntaxError as exc:
-        return module, None, f"{exc.msg} (line {exc.lineno})"
 
 
 @dataclass
@@ -114,76 +71,34 @@ class ProjectAnalysis:
         cls,
         root: Path | str,
         *,
-        cache: ArtifactCache | None = None,
-        jobs: int = 1,
+        records: Mapping[str, FileRecord] | None = None,
     ) -> "ProjectAnalysis":
-        """Summarize every ``.py`` file under ``root`` and index symbols."""
+        """Index the summary of every ``.py`` file under ``root``.
+
+        ``records`` maps resolved paths to the per-file analysis step's
+        records (:func:`~repro.analysis.core.module_records`), as
+        :func:`~repro.analysis.core.check_paths` passes them; without it
+        that step runs here, uncached.
+        """
         root = Path(root).resolve()
         prefix = root.name if (root / "__init__.py").is_file() else ""
+        files = list(iter_python_files([root]))
+        if records is None:
+            records = module_records(files)
         project = cls(root=root)
-
-        work: list[tuple[Path, str, str, dict[str, Any]]] = []
-        for path in sorted(p for p in root.rglob("*.py") if p.is_file()):
+        for path in files:
             module = _module_name(root, path, prefix)
-            relpath = path.relative_to(root).as_posix()
-            source_bytes = path.read_bytes()
-            key = {
-                "relpath": relpath,
-                "sha256": hashlib.sha256(source_bytes).hexdigest(),
-                "summary_version": SUMMARY_VERSION,
-                "analysis_digest": analysis_digest(),
-            }
-            if cache is not None:
-                hit, value = cache.lookup("check/summary", key)
-                if hit and isinstance(value, tuple) and len(value) == 2:
-                    summary, error = value
-                    project._admit(module, path, summary, error)
-                    continue
-            work.append((path, module, relpath, key))
-
-        results: list[
-            tuple[str, ModuleSummary | None, str | None, Path, dict[str, Any]]
-        ]
-        if jobs > 1 and len(work) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = [
-                    (
-                        pool.submit(_summarize_worker, str(path), module, relpath),
-                        path,
-                        key,
-                    )
-                    for path, module, relpath, key in work
-                ]
-                results = [
-                    (*future.result(), path, key) for future, path, key in futures
-                ]
-        else:
-            results = [
-                (*_summarize_worker(str(path), module, relpath), path, key)
-                for path, module, relpath, key in work
-            ]
-
-        for module, summary, error, path, key in results:
-            if cache is not None:
-                cache.store("check/summary", key, (summary, error))
-            project._admit(module, path, summary, error)
+            project._admit(module, path, records[str(path.resolve())])
         return project
 
-    def _admit(
-        self,
-        module: str,
-        path: Path,
-        summary: ModuleSummary | None,
-        error: str | None,
-    ) -> None:
+    def _admit(self, module: str, path: Path, record: FileRecord) -> None:
         self.paths[module] = path
+        summary = record.summary
         if summary is None:
-            self.errors[module] = error or "unparsable"
+            self.errors[module] = record.findings[0].message
             return
         self.modules[module] = summary
-        self._imports[module] = summary.imports_dict()
+        self._imports[module] = summary.imports_dict(module)
         self._classes[module] = summary.class_methods()
         self._bases[module] = dict(summary.class_bases)
         top: dict[str, str] = {}

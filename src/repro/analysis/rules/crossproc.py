@@ -17,10 +17,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.analysis._ast_util import is_pool_submission
 from repro.analysis.core import Finding, ModuleContext, rule
 
-_SUBMIT_METHODS = {"submit", "map", "apply_async", "starmap", "imap"}
-_POOL_HINTS = ("pool", "executor", "workers")
 _LARGE_OBJECT_NAMES = {
     "graph",
     "graphs",
@@ -38,17 +37,6 @@ _LARGE_OBJECT_NAMES = {
 }
 
 
-def _receiver_is_pool(func: ast.Attribute) -> bool:
-    base = func.value
-    while isinstance(base, ast.Attribute):
-        if any(hint in base.attr.lower() for hint in _POOL_HINTS):
-            return True
-        base = base.value
-    return isinstance(base, ast.Name) and any(
-        hint in base.id.lower() for hint in _POOL_HINTS
-    )
-
-
 def _large_name(node: ast.expr) -> str | None:
     if isinstance(node, ast.Name) and node.id.lower() in _LARGE_OBJECT_NAMES:
         return node.id
@@ -63,15 +51,11 @@ def _large_name(node: ast.expr) -> str | None:
     "large object or closure pickled into a pool submission",
 )
 def large_capture_in_submission(context: ModuleContext) -> Iterator[Finding]:
-    for node in ast.walk(context.tree):
+    for node in context.nodes:
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        if not (
-            isinstance(func, ast.Attribute)
-            and func.attr in _SUBMIT_METHODS
-            and _receiver_is_pool(func)
-        ):
+        if not is_pool_submission(func):
             continue
         arguments = list(node.args) + [kw.value for kw in node.keywords]
         for arg in arguments:

@@ -21,22 +21,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.analysis._ast_util import BANNED_CLOCKS, call_name, dotted_name
 from repro.analysis.core import Finding, ModuleContext, rule
-
-from ._ast_util import call_name, dotted_name, iter_calls
-
-_WALL_CLOCK = {
-    "time.time",
-    "time.time_ns",
-    "datetime.now",
-    "datetime.utcnow",
-    "datetime.today",
-    "datetime.datetime.now",
-    "datetime.datetime.utcnow",
-    "datetime.datetime.today",
-    "date.today",
-    "datetime.date.today",
-}
 
 # numpy.random attributes that construct explicitly seedable generators (the
 # sanctioned API); everything else on np.random is the hidden global RNG.
@@ -72,10 +58,10 @@ def _first_argument_is_seed(call: ast.Call) -> bool:
     "wall-clock read (time.time / datetime.now) in modeled code",
 )
 def wall_clock_reads(context: ModuleContext) -> Iterator[Finding]:
-    for node in ast.walk(context.tree):
+    for node in context.nodes:
         if isinstance(node, ast.Attribute):
             name = dotted_name(node)
-            if name in _WALL_CLOCK:
+            if name in BANNED_CLOCKS:
                 yield context.finding(
                     node,
                     "GRM101",
@@ -101,7 +87,7 @@ def wall_clock_reads(context: ModuleContext) -> Iterator[Finding]:
     "stdlib global RNG or seedless random.Random()",
 )
 def stdlib_global_rng(context: ModuleContext) -> Iterator[Finding]:
-    for node in ast.walk(context.tree):
+    for node in context.nodes:
         if isinstance(node, ast.Call):
             name = call_name(node)
             if name is None or not name.startswith("random."):
@@ -139,7 +125,9 @@ def stdlib_global_rng(context: ModuleContext) -> Iterator[Finding]:
     "numpy legacy global RNG or seedless default_rng()",
 )
 def numpy_global_rng(context: ModuleContext) -> Iterator[Finding]:
-    for call in iter_calls(context.tree):
+    for call in context.nodes:
+        if not isinstance(call, ast.Call):
+            continue
         name = call_name(call)
         if name is None:
             continue

@@ -41,7 +41,7 @@ def _is_exempt(relpath: str) -> bool:
 def direct_simulator_construction(context: ModuleContext) -> Iterator[Finding]:
     if _is_exempt(context.relpath):
         return
-    for node in ast.walk(context.tree):
+    for node in context.nodes:
         if not isinstance(node, ast.Call):
             continue
         func = node.func
@@ -131,7 +131,7 @@ def adhoc_turbo_timing_equality(context: ModuleContext) -> Iterator[Finding]:
     if _is_exempt(context.relpath):
         return
     seen: set[int] = set()
-    for func in ast.walk(context.tree):
+    for func in context.nodes:
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         if not _mentions_turbo(func):

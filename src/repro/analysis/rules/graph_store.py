@@ -24,8 +24,6 @@ from typing import Iterator
 
 from repro.analysis.core import Finding, ModuleContext, rule
 
-from ._ast_util import iter_calls
-
 #: Call names that construct a graph outside the store's custody.
 _FLAGGED_CALLS = frozenset(
     {
@@ -54,7 +52,9 @@ def _is_exempt(relpath: str) -> bool:
 def graph_outside_store(context: ModuleContext) -> Iterator[Finding]:
     if _is_exempt(context.relpath):
         return
-    for call in iter_calls(context.tree):
+    for call in context.nodes:
+        if not isinstance(call, ast.Call):
+            continue
         func = call.func
         name = None
         if isinstance(func, ast.Name):

@@ -19,9 +19,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.analysis._ast_util import dotted_name
 from repro.analysis.core import Finding, ModuleContext, rule
-
-from ._ast_util import dotted_name
 
 _FROZEN_SUFFIXES = ("Spec", "Result", "Config", "Params", "Overheads")
 _DATACLASS_NAMES = {"dataclass", "dataclasses.dataclass"}
@@ -66,7 +65,7 @@ def _is_frozen(decorator: ast.expr | ast.Call) -> bool:
     "spec-like dataclass (Spec/Result/Config/Params suffix) not frozen",
 )
 def unfrozen_spec_dataclass(context: ModuleContext) -> Iterator[Finding]:
-    for node in ast.walk(context.tree):
+    for node in context.nodes:
         if not isinstance(node, ast.ClassDef):
             continue
         if not node.name.endswith(_FROZEN_SUFFIXES):
@@ -90,7 +89,7 @@ def unfrozen_spec_dataclass(context: ModuleContext) -> Iterator[Finding]:
     "attribute assignment on a spec/config object after construction",
 )
 def spec_attribute_assignment(context: ModuleContext) -> Iterator[Finding]:
-    for node in ast.walk(context.tree):
+    for node in context.nodes:
         targets: list[ast.expr]
         if isinstance(node, ast.Assign):
             targets = node.targets

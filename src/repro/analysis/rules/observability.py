@@ -74,7 +74,7 @@ def bare_print(context: ModuleContext) -> Iterator[Finding]:
     if context.relpath.endswith(_EXEMPT_RELPATH_SUFFIXES):
         return
     guard_ranges = _main_guard_ranges(context.tree)
-    for node in ast.walk(context.tree):
+    for node in context.nodes:
         if not (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
@@ -119,7 +119,7 @@ def _is_tracer_receiver(name: str | None) -> bool:
 def raw_tracer_emit(context: ModuleContext) -> Iterator[Finding]:
     if "repro/obs/" in context.relpath:
         return  # the obs layer owns the primitives (hooks.py wraps them)
-    for node in ast.walk(context.tree):
+    for node in context.nodes:
         if not (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)

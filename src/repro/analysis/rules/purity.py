@@ -21,11 +21,10 @@ returns results computed under state that no longer holds.
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Iterable, Iterator
 
+from repro.analysis._ast_util import call_name, dotted_name
 from repro.analysis.core import Finding, ModuleContext, rule
-
-from ._ast_util import call_name, dotted_name
 
 _MUTABLE_LITERALS = (
     ast.List,
@@ -75,8 +74,8 @@ _IMPURE_METHODS = {
 }
 
 
-def _env_reads(tree: ast.AST) -> Iterator[ast.AST]:
-    for node in ast.walk(tree):
+def _env_reads(nodes: Iterable[ast.AST]) -> Iterator[ast.AST]:
+    for node in nodes:
         if isinstance(node, ast.Attribute) and dotted_name(node) == "os.environ":
             yield node
         elif isinstance(node, ast.Call) and call_name(node) == "os.getenv":
@@ -92,7 +91,7 @@ def _env_reads(tree: ast.AST) -> Iterator[ast.AST]:
     "os.environ read outside process-startup configuration",
 )
 def environ_reads(context: ModuleContext) -> Iterator[Finding]:
-    for node in _env_reads(context.tree):
+    for node in _env_reads(context.nodes):
         yield context.finding(
             node,
             "GRM201",
@@ -142,10 +141,10 @@ def mutable_module_globals(context: ModuleContext) -> Iterator[Finding]:
 
 
 def _memoized_scopes(
-    tree: ast.Module,
+    nodes: Iterable[ast.AST],
 ) -> Iterator[tuple[str, ast.AST]]:
     """(description, scope body) pairs for every memoized code region."""
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.ClassDef) and node.name.endswith("Backend"):
             for item in node.body:
                 if (
@@ -194,7 +193,7 @@ def _impure_nodes(scope: ast.AST) -> Iterator[tuple[ast.AST, str]]:
     "filesystem/environment access inside a memoized scope",
 )
 def impure_memoized_scope(context: ModuleContext) -> Iterator[Finding]:
-    for description, scope in _memoized_scopes(context.tree):
+    for description, scope in _memoized_scopes(context.nodes):
         for node, what in _impure_nodes(scope):
             yield context.finding(
                 node,

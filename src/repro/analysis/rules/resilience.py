@@ -98,7 +98,7 @@ def _body_is_trivial(handler: ast.ExceptHandler) -> bool:
     "broad except handler swallows the error without re-raise or logging",
 )
 def exception_swallowing(context: ModuleContext) -> Iterator[Finding]:
-    for node in ast.walk(context.tree):
+    for node in context.nodes:
         if not isinstance(node, ast.ExceptHandler):
             continue
         if not _names_broad_type(node.type):
@@ -165,7 +165,7 @@ def non_atomic_write(context: ModuleContext) -> Iterator[Finding]:
         return
     if _GRM802_EXEMPT in context.relpath:
         return
-    for node in ast.walk(context.tree):
+    for node in context.nodes:
         if not isinstance(node, ast.Call):
             continue
         mode = _open_write_mode(node)

@@ -91,7 +91,7 @@ def _is_zero_literal(node: ast.expr) -> bool:
     "additive arithmetic or ordering across mismatched unit suffixes",
 )
 def mixed_unit_arithmetic(context: ModuleContext) -> Iterator[Finding]:
-    for node in ast.walk(context.tree):
+    for node in context.nodes:
         if isinstance(node, ast.BinOp) and isinstance(
             node.op, (ast.Add, ast.Sub)
         ):
@@ -124,7 +124,7 @@ def mixed_unit_arithmetic(context: ModuleContext) -> Iterator[Finding]:
     "float equality on a measured time/energy quantity",
 )
 def float_equality_on_measured(context: ModuleContext) -> Iterator[Finding]:
-    for node in ast.walk(context.tree):
+    for node in context.nodes:
         if not (
             isinstance(node, ast.Compare)
             and len(node.ops) == 1

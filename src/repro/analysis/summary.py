@@ -3,10 +3,15 @@
 :func:`summarize_module` reduces one parsed module to a frozen, picklable
 :class:`ModuleSummary` — everything the project pass needs to build a
 module graph, a call graph, and an interprocedural taint analysis without
-ever re-reading the file:
+ever re-reading the file.  It runs inside the per-file analysis step
+(:mod:`repro.analysis.core`) over the tree and ``ast.walk`` node list the
+module rules share, and the summary rides in that step's cached
+:class:`~repro.analysis.core.FileRecord`.  A summary does not know its
+module's dotted name, so one record serves every checked root:
 
-* the module's **imports** (local alias → dotted target), including
-  resolved relative imports;
+* the module's **imports** (local alias → dotted target); relative
+  targets keep their leading dots until :meth:`ModuleSummary.imports_dict`
+  resolves them against the name the project pass gives the module;
 * a :class:`FunctionSummary` per function and method, carrying the calls
   it makes, the **taint atoms** that flow to its return value, its sink
   and pool-submission sites, and the spec/params fields it reads;
@@ -21,7 +26,8 @@ source, ``call:<dotted>`` for a call whose resolution happens later at
 project scope, ``param:<name>`` for a parameter — propagated through
 local assignments with branch merging.  The interprocedural fixpoint over
 ``call:`` atoms lives in :mod:`repro.analysis.taint`; summaries therefore
-cache perfectly (content-addressed by source hash) and recombine cheaply.
+cache with their file record (content-addressed by source hash) and
+recombine cheaply.
 
 Conservatism cuts the *miss* direction by design: a call that cannot be
 resolved to a project symbol contributes no taint, so the project rules
@@ -36,10 +42,9 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from ._ast_util import call_name, dotted_name
+from ._ast_util import HOST_CLOCKS, call_name, dotted_name, is_pool_submission
 
 __all__ = [
-    "SUMMARY_VERSION",
     "DETERMINISTIC_RESULT_FIELDS",
     "CallSite",
     "Sink",
@@ -50,10 +55,6 @@ __all__ = [
     "ModuleSummary",
     "summarize_module",
 ]
-
-#: Bump when the summary shape or extraction logic changes: the project
-#: pass salts its cache keys with this, so stale summaries never load.
-SUMMARY_VERSION = 1
 
 #: ``JobResult`` fields that must be deterministic functions of the spec.
 #: ``wall_seconds``, ``retries``, ``cached`` and ``cache_key`` are host
@@ -71,23 +72,6 @@ SRC_GRAPH = "src:graph"
 ATOM_LAMBDA = "lambda"
 ATOM_PARAMSDICT = "paramsdict"
 
-_WALLCLOCK_CALLS = {
-    "time.time",
-    "time.time_ns",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.process_time",
-    "datetime.now",
-    "datetime.utcnow",
-    "datetime.today",
-    "datetime.datetime.now",
-    "datetime.datetime.utcnow",
-    "datetime.datetime.today",
-    "date.today",
-    "datetime.date.today",
-}
 _RNG_PREFIXES = ("random.", "np.random.", "numpy.random.")
 _ENV_CALLS = {"os.getenv"}
 # Graph-sized producers: the functions that materialize whole graphs.
@@ -108,8 +92,6 @@ _GRAPH_PRODUCER_NAMES = {"CSRGraph", "resolve_graph", "datasets.load"}
 _STORE_METHODS = {"open", "load"}
 
 _CACHE_KEY_METHODS = {"get_or_create", "lookup", "store", "entry_path"}
-_SUBMIT_METHODS = {"submit", "map", "apply_async", "starmap", "imap"}
-_POOL_HINTS = ("pool", "executor", "workers")
 _ASDICT_NAMES = {"asdict", "astuple", "dataclasses.asdict", "dataclasses.astuple"}
 
 Atoms = frozenset[str]
@@ -120,7 +102,7 @@ def _source_atom(callee: str | None) -> str | None:
     """The ``src:<kind>`` atom a call introduces, if it is a taint source."""
     if callee is None:
         return None
-    if callee in _WALLCLOCK_CALLS:
+    if callee in HOST_CLOCKS:
         return SRC_WALLCLOCK
     if any(callee.startswith(p) for p in _RNG_PREFIXES):
         return SRC_RNG
@@ -231,8 +213,6 @@ class BackendInfo:
 class ModuleSummary:
     """One module, reduced to what whole-program analysis needs."""
 
-    module: str
-    relpath: str
     imports: tuple[tuple[str, str], ...]
     functions: tuple[FunctionSummary, ...]
     classes: tuple[tuple[str, tuple[str, ...]], ...]
@@ -240,8 +220,12 @@ class ModuleSummary:
     spec_classes: tuple[SpecClassInfo, ...]
     backends: tuple[BackendInfo, ...]
 
-    def imports_dict(self) -> dict[str, str]:
-        return dict(self.imports)
+    def imports_dict(self, module: str) -> dict[str, str]:
+        """Local alias → absolute dotted target, as imported by ``module``."""
+        return {
+            local: _resolve_relative(module, target)
+            for local, target in self.imports
+        }
 
     def class_methods(self) -> dict[str, frozenset[str]]:
         return {name: frozenset(methods) for name, methods in self.classes}
@@ -250,20 +234,21 @@ class ModuleSummary:
 # -- import resolution ------------------------------------------------------
 
 
-def _resolve_relative(module: str, level: int, target: str | None) -> str:
-    """Absolute dotted target of a ``from ...x import y`` statement."""
+def _resolve_relative(module: str, target: str) -> str:
+    """Absolute form of an import target; leading dots are the level."""
+    dotted = target.lstrip(".")
+    level = len(target) - len(dotted)
+    if not level:
+        return target
     # ``module`` is the *importing* module; its package is everything but
     # the last component.  level=1 means "this package".
     parts = module.split(".")
-    base = parts[: len(parts) - level]
-    if target:
-        base = base + target.split(".")
-    return ".".join(base)
+    return ".".join(parts[: len(parts) - level] + dotted.split("."))
 
 
-def _collect_imports(tree: ast.Module, module: str) -> list[tuple[str, str]]:
+def _collect_imports(nodes: Iterable[ast.AST]) -> list[tuple[str, str]]:
     out: list[tuple[str, str]] = []
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname:
@@ -274,16 +259,12 @@ def _collect_imports(tree: ast.Module, module: str) -> list[tuple[str, str]]:
                     out.append((alias.name.split(".")[0], alias.name.split(".")[0]))
                     out.append((alias.name, alias.name))
         elif isinstance(node, ast.ImportFrom):
-            base = (
-                _resolve_relative(module, node.level, node.module)
-                if node.level
-                else (node.module or "")
-            )
             for alias in node.names:
                 if alias.name == "*":
                     continue
                 local = alias.asname or alias.name
-                out.append((local, f"{base}.{alias.name}" if base else alias.name))
+                target = ".".join(filter(None, (node.module, alias.name)))
+                out.append((local, "." * node.level + target))
     # Later bindings win, matching Python semantics closely enough.
     dedup: dict[str, str] = {}
     for local, target in out:
@@ -514,11 +495,7 @@ class _FunctionWalker:
         env: dict[str, Atoms],
     ) -> None:
         func = node.func
-        if not (
-            isinstance(func, ast.Attribute)
-            and func.attr in _SUBMIT_METHODS
-            and _receiver_is_pool(func)
-        ):
+        if not is_pool_submission(func):
             return
         submitted = node.args[0] if node.args else None
         submitted_name: str | None = None
@@ -661,17 +638,6 @@ def _target_names(target: ast.expr) -> Iterator[str]:
             yield from _target_names(element)
     elif isinstance(target, ast.Starred):
         yield from _target_names(target.value)
-
-
-def _receiver_is_pool(func: ast.Attribute) -> bool:
-    base = func.value
-    while isinstance(base, ast.Attribute):
-        if any(hint in base.attr.lower() for hint in _POOL_HINTS):
-            return True
-        base = base.value
-    return isinstance(base, ast.Name) and any(
-        hint in base.id.lower() for hint in _POOL_HINTS
-    )
 
 
 def _receiver_is_cache(func: ast.Attribute) -> bool:
@@ -850,13 +816,12 @@ def _top_level_statements(stmts: Iterable[ast.stmt]) -> Iterator[ast.stmt]:
             yield stmt
 
 
-def summarize_module(source: str, module: str, relpath: str) -> ModuleSummary:
-    """Reduce one module's source to a :class:`ModuleSummary`.
+def summarize_module(tree: ast.Module, nodes: Iterable[ast.AST]) -> ModuleSummary:
+    """Reduce one parsed module to a :class:`ModuleSummary`.
 
-    Raises :class:`SyntaxError` for unparsable source — callers decide
-    whether that is a finding (the rule engine already emits GRM000).
+    ``nodes`` is ``tree`` in ``ast.walk`` order, the list the module rules
+    already share (:attr:`~repro.analysis.core.ModuleContext.nodes`).
     """
-    tree = ast.parse(source, filename=relpath)
     functions: list[FunctionSummary] = []
     classes: list[tuple[str, tuple[str, ...]]] = []
     class_bases: list[tuple[str, tuple[str, ...]]] = []
@@ -904,9 +869,7 @@ def summarize_module(source: str, module: str, relpath: str) -> ModuleSummary:
                 )
 
     return ModuleSummary(
-        module=module,
-        relpath=relpath,
-        imports=tuple(_collect_imports(tree, module)),
+        imports=tuple(_collect_imports(nodes)),
         functions=tuple(functions),
         classes=tuple(classes),
         class_bases=tuple(class_bases),

@@ -35,7 +35,7 @@ from repro.runtime.backends import (  # noqa: F401  (re-exported legacy API)
     experiment_config,
 )
 from repro.runtime.executor import run_spec
-from repro.runtime.spec import JobResult, JobSpec, make_jobspec
+from repro.runtime.spec import JobResult, JobSpec, json_safe_keys, make_jobspec
 
 from . import datasets
 
@@ -241,4 +241,6 @@ def save_results(payload: dict, path: str | Path) -> None:
     """Serialise an experiment's structured results to JSON."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True, default=str)
+        json.dump(
+            json_safe_keys(payload), handle, indent=2, sort_keys=True, default=str
+        )

@@ -21,9 +21,30 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Mapping
 
-__all__ = ["JobSpec", "JobResult", "make_jobspec"]
+__all__ = ["JobSpec", "JobResult", "json_safe_keys", "make_jobspec"]
 
+# Also exactly the dict-key types ``json.dumps`` accepts.
 _SCALAR_TYPES = (bool, int, float, str, type(None))
+
+
+def json_safe_keys(obj: Any) -> Any:
+    """``obj`` with every dict key ``json.dumps`` rejects turned into ``str``.
+
+    Recurses through dicts, lists and tuples only; keys JSON accepts and
+    every other value stay as they are, so an object that serialized
+    before serializes to the same bytes.  (The software backend keys its
+    pattern counts by :class:`~repro.mining.patterns.PatternCode`.)
+    """
+    if isinstance(obj, dict):
+        return {
+            (key if isinstance(key, _SCALAR_TYPES) else str(key)): json_safe_keys(
+                value
+            )
+            for key, value in obj.items()
+        }
+    if isinstance(obj, (list, tuple)):
+        return [json_safe_keys(item) for item in obj]
+    return obj
 
 
 def _freeze_overrides(
@@ -165,7 +186,10 @@ class JobResult:
             "error": self.error,
         }
         return json.dumps(
-            payload, sort_keys=True, separators=(",", ":"), default=str
+            json_safe_keys(payload),
+            sort_keys=True,
+            separators=(",", ":"),
+            default=str,
         )
 
     def as_cached(self) -> "JobResult":

@@ -1,13 +1,15 @@
 """The whole-program pass: summaries, resolution, call graph, GRM10xx rules."""
 
+import ast
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import check_paths
 from repro.analysis.callgraph import CallGraph
-from repro.analysis.project import ProjectAnalysis, analysis_digest
-from repro.analysis.summary import summarize_module
+from repro.analysis.core import analysis_digest, iter_python_files, module_records
+from repro.analysis.project import ProjectAnalysis
+from repro.analysis.summary import ModuleSummary, summarize_module
 from repro.analysis.taint import sink_taint, tainted_returns
 from repro.runtime.cache import ArtifactCache
 
@@ -24,24 +26,25 @@ def line_of(path: Path, needle: str) -> int:
     )
 
 
+def summarize(source: str) -> ModuleSummary:
+    tree = ast.parse(source)
+    return summarize_module(tree, ast.walk(tree))
+
+
 def project_findings(root: Path) -> list:
     return check_paths([root], select=["project"], use_cache=False)
 
 
 class TestSummarizer:
     def test_wallclock_source_reaches_return(self):
-        summary = summarize_module(
-            "import time\n\ndef stamp():\n    return time.perf_counter()\n",
-            "m",
-            "m.py",
+        summary = summarize(
+            "import time\n\ndef stamp():\n    return time.perf_counter()\n"
         )
         (fn,) = summary.functions
         assert "src:wallclock" in fn.return_atoms
 
     def test_unresolved_call_is_a_call_atom(self):
-        summary = summarize_module(
-            "def f():\n    return make_thing()\n", "m", "m.py"
-        )
+        summary = summarize("def f():\n    return make_thing()\n")
         (fn,) = summary.functions
         assert "call:make_thing" in fn.return_atoms
 
@@ -55,7 +58,7 @@ class TestSummarizer:
             "        x = 0.0\n"
             "    return x\n"
         )
-        (fn,) = summarize_module(source, "m", "m.py").functions
+        (fn,) = summarize(source).functions
         assert "src:wallclock" in fn.return_atoms
 
     def test_loop_carried_taint_stabilizes(self):
@@ -67,7 +70,7 @@ class TestSummarizer:
             "        acc = acc + time.perf_counter()\n"
             "    return acc\n"
         )
-        (fn,) = summarize_module(source, "m", "m.py").functions
+        (fn,) = summarize(source).functions
         assert "src:wallclock" in fn.return_atoms
 
     def test_jobresult_sink_splits_deterministic_fields(self):
@@ -75,7 +78,7 @@ class TestSummarizer:
             "def f(spec, wall, model):\n"
             "    return JobResult(spec=spec, seconds=model, wall_seconds=wall)\n"
         )
-        (fn,) = summarize_module(source, "m", "m.py").functions
+        (fn,) = summarize(source).functions
         details = {s.detail for s in fn.sinks}
         assert "seconds" in details
         assert "wall_seconds" not in details
@@ -89,7 +92,7 @@ class TestSummarizer:
             "    def cache_key(self):\n"
             "        return {'spec': asdict(self)}\n"
         )
-        (spec,) = summarize_module(source, "m", "m.py").spec_classes
+        (spec,) = summarize(source).spec_classes
         assert spec.complete
 
     def test_backend_run_annotation_recorded(self):
@@ -98,7 +101,7 @@ class TestSummarizer:
             "    def run(self, spec: JobSpec):\n"
             "        return spec\n"
         )
-        (backend,) = summarize_module(source, "m", "m.py").backends
+        (backend,) = summarize(source).backends
         assert backend.spec_annotation == "JobSpec"
 
     def test_multiple_doublestar_expansions_keep_distinct_atoms(self):
@@ -109,7 +112,7 @@ class TestSummarizer:
             "    dirty = {'t': time.time()}\n"
             "    pool.submit(task, **clean, **dirty)\n"
         )
-        (fn,) = summarize_module(source, "m", "m.py").functions
+        (fn,) = summarize(source).functions
         (submit,) = fn.submits
         assert submit.arg_names == ("**", "**")
         # Each ``**`` slot carries its own dict's atoms, not the last one's.
@@ -189,15 +192,32 @@ class TestProjectResolution:
         assert "ok" in project.modules
         assert "broken" in project.errors
 
+    def test_relative_imports_resolve_per_root(self, tmp_path):
+        # Summaries are root-independent: one set of records serves a
+        # root and a package nested in it, each naming modules its way.
+        pkg = tmp_path / "outer" / "pkg"
+        pkg.mkdir(parents=True)
+        (tmp_path / "outer" / "__init__.py").write_text("")
+        (pkg / "__init__.py").write_text("")
+        (pkg / "core.py").write_text("def stamp():\n    return 1\n")
+        (pkg / "user.py").write_text("from .core import stamp\n")
+        records = module_records(iter_python_files([tmp_path / "outer"]))
+        whole = ProjectAnalysis.build(tmp_path / "outer", records=records)
+        nested = ProjectAnalysis.build(pkg, records=records)
+        assert whole.resolve_call("outer.pkg.user", "stamp") == "outer.pkg.core:stamp"
+        assert nested.resolve_call("pkg.user", "stamp") == "pkg.core:stamp"
+
     def test_summary_cache_round_trip(self, tmp_path):
         (tmp_path / "src").mkdir()
-        (tmp_path / "src" / "mod.py").write_text("def f():\n    return 1\n")
+        files = [tmp_path / "src" / "mod.py"]
+        files[0].write_text("def f():\n    return 1\n")
         cache = ArtifactCache(root=tmp_path / "cache")
-        ProjectAnalysis.build(tmp_path / "src", cache=cache)
-        assert cache.stats.misses >= 1
-        before = cache.stats.misses
-        warm = ProjectAnalysis.build(tmp_path / "src", cache=cache)
-        assert cache.stats.misses == before  # warm build re-parses nothing
+        module_records(files, cache=cache)
+        assert cache.stats.misses == 1
+        warm = ProjectAnalysis.build(
+            tmp_path / "src", records=module_records(files, cache=cache)
+        )
+        assert cache.stats.misses == 1  # the summary rides in the file record
         assert "mod" in warm.modules
 
     def test_analysis_digest_is_stable(self):
@@ -369,8 +389,33 @@ class TestIncrementalCheck:
         (src / "b.py").write_text("y = 2\n")
         cache.stats.misses = 0
         check_paths([src], cache=cache)
-        # one file record + one summary record recomputed, a.py untouched
-        assert cache.stats.misses == 2
+        # one file record (findings and summary) recomputed, a.py untouched
+        assert cache.stats.misses == 1
+
+    def test_one_parse_per_file_cold_none_warm(self, tmp_path, monkeypatch):
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        (pkg / "__init__.py").write_text("from .core import stamp\n")
+        (pkg / "core.py").write_text(
+            "import time\n\ndef stamp():\n    return time.perf_counter()\n"
+        )
+        (pkg / "user.py").write_text(
+            "from pkg.core import stamp\n\ndef use():\n    return stamp()\n"
+        )
+        parses: list[str] = []
+        real_parse = ast.parse
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parses.append(str(filename))
+            return real_parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        cache = ArtifactCache(root=tmp_path / "cache")
+        cold = check_paths([pkg], cache=cache)
+        assert sorted(parses) == sorted(str(p) for p in pkg.glob("*.py"))
+        parses.clear()
+        assert check_paths([pkg], cache=cache) == cold
+        assert parses == []
 
     def test_parallel_jobs_match_sequential(self, tmp_path):
         root = FIXTURES / "proj_taint"

@@ -1,5 +1,6 @@
 """Rule families against the known-bad fixture corpus and the live tree."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,12 @@ CORPUS = {
     "bad_graph_store.py": {"GRM901"},
 }
 
+# fixture root -> every finding as [rule_id, repo-relative path, line, col,
+# message], each root checked on its own the way `gramer check <root>`
+# checks it.  Recorded from the checker before its module and project
+# passes shared one parse per file; a refactor must reproduce it exactly.
+SNAPSHOT = json.loads((Path(__file__).parent / "fixture_findings.json").read_text())
+
 
 class TestBadFixtureCorpus:
     @pytest.mark.parametrize("filename", sorted(CORPUS))
@@ -31,6 +38,28 @@ class TestBadFixtureCorpus:
         fired = {f.rule_id for f in check_paths([FIXTURES / filename])}
         missing = CORPUS[filename] - fired
         assert not missing, f"{filename} should trip {missing}"
+
+    def test_snapshot_covers_every_fixture_root(self):
+        roots = {
+            p.name
+            for p in FIXTURES.iterdir()
+            if p.suffix == ".py" or (p.is_dir() and p.name != "__pycache__")
+        }
+        assert roots == set(SNAPSHOT)
+
+    @pytest.mark.parametrize("root", sorted(SNAPSHOT))
+    def test_exact_findings_match_snapshot(self, root):
+        found = [
+            [
+                f.rule_id,
+                Path(f.path).resolve().relative_to(REPO_ROOT).as_posix(),
+                f.line,
+                f.col,
+                f.message,
+            ]
+            for f in check_paths([FIXTURES / root], use_cache=False)
+        ]
+        assert found == SNAPSHOT[root]
 
     def test_whole_corpus_is_nonzero(self):
         assert len(check_paths([FIXTURES])) >= 30

@@ -1,10 +1,13 @@
 """JobSpec/JobResult invariants."""
 
+import hashlib
 import pickle
 
 import pytest
 
-from repro.runtime.spec import JobResult, failed_result, make_jobspec
+from repro.mining.patterns import PatternCode
+from repro.runtime.executor import run_spec
+from repro.runtime.spec import JobResult, failed_result, json_safe_keys, make_jobspec
 
 
 class TestJobSpec:
@@ -73,6 +76,33 @@ class TestJobResult:
             self._result(detail={"cycles": 10}).fingerprint()
             != self._result(detail={"cycles": 11}).fingerprint()
         )
+
+    def test_software_fingerprint_is_stable(self):
+        # Software results key pattern counts by PatternCode, which
+        # json.dumps rejects as a dict key; the fingerprint stringifies it.
+        spec = make_jobspec("software", "3-CF", dataset="citeseer", scale="tiny")
+        first = run_spec(spec, use_cache=False).fingerprint()
+        assert first == run_spec(spec, use_cache=False).fingerprint()
+        assert '"<triangle>":6' in first
+
+    def test_gramer_fingerprint_bytes_unchanged(self):
+        # Manifests attest sha256(fingerprint); this digest was recorded
+        # before software results became fingerprintable, so results that
+        # fingerprinted then still hash to the same bytes.
+        spec = make_jobspec("gramer", "3-CF", dataset="citeseer", scale="tiny")
+        fingerprint = run_spec(spec, use_cache=False).fingerprint()
+        assert hashlib.sha256(fingerprint.encode("utf-8")).hexdigest() == (
+            "e7445659a6a1254dd817ca5250f961ac4bdb1b88a8257c61daebf6e51afbe193"
+        )
+
+    def test_json_safe_keys_only_converts_rejected_keys(self):
+        code = PatternCode(size=3, adjacency=7, labels=(0, 0, 0))
+        payload = {"a": (1, {2: {code: 6}}), 1.5: None, None: [True]}
+        assert json_safe_keys(payload) == {
+            "a": [1, {2: {str(code): 6}}],
+            1.5: None,
+            None: [True],
+        }
 
     def test_failed_result_captures_exception(self):
         spec = make_jobspec("gramer", "3-CF", dataset="p2p")

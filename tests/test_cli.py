@@ -73,6 +73,20 @@ class TestCLI:
         assert {r["backend"] for r in payload["results"]} == {"gramer", "fractal"}
         assert all(r["ok"] for r in payload["results"])
 
+    def test_sweep_software_out(self, tmp_path, capsys):
+        # Software detail keys pattern counts by PatternCode; the JSON
+        # writer must stringify those keys instead of crashing.
+        out = tmp_path / "sweep.json"
+        main(["sweep", "--apps", "3-CF", "--datasets", "citeseer",
+              "--backends", "software", "--scale", "tiny",
+              "--out", str(out)])
+        assert "1 jobs" in capsys.readouterr().out
+        import json
+
+        (row,) = json.loads(out.read_text())["results"]
+        assert row["backend"] == "software" and row["ok"]
+        assert row["detail"]["patterns"] == {"3": {"<triangle>": 6}}
+
     def test_sweep_parallel_and_unknown_backend(self, capsys):
         main(["sweep", "--apps", "3-CF", "--datasets", "citeseer", "p2p",
               "--backends", "gramer", "--scale", "tiny", "--jobs", "2",
