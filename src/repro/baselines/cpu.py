@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.graph.csr import CSRGraph
-from repro.memory.cache import SetAssociativeCache
-from repro.memory.policies import LRUPolicy
 
 __all__ = ["CPUConfig", "CPUMemory", "CPUTimeBreakdown"]
 
@@ -90,6 +90,57 @@ class CPUTimeBreakdown:
         return {"vertex": vertex, "edge": edge, "others": 1.0 - vertex - edge}
 
 
+class _LRULevel:
+    """One cache level as per-set move-to-front tag lists (pure LRU).
+
+    A set's list holds its resident line tags, most recently used first,
+    so an access hits exactly when its tag is in the list.
+    """
+
+    def __init__(self, total_bytes: int, config: CPUConfig) -> None:
+        lines = max(config.ways, total_bytes // config.line_bytes)
+        self.num_sets = max(1, lines // config.ways)
+        self.ways = config.ways
+        self.sets: list[list[int]] = [[] for _ in range(self.num_sets)]
+
+    def misses(self, tags: list[int]) -> list[int]:
+        """Run ``tags`` through the level in order; positions that missed."""
+        sets = self.sets
+        num_sets = self.num_sets
+        ways = self.ways
+        missed: list[int] = []
+        for position, tag in enumerate(tags):
+            resident = sets[tag % num_sets]
+            if tag in resident:
+                if resident[0] != tag:
+                    resident.remove(tag)
+                    resident.insert(0, tag)
+            else:
+                resident.insert(0, tag)
+                if len(resident) > ways:
+                    resident.pop()
+                missed.append(position)
+        return missed
+
+    def load_sweep(self, num_lines: int) -> None:
+        """Contents after touching lines ``0 .. num_lines-1`` once, in order.
+
+        Each set ends up holding the last ``ways`` swept lines that map to
+        it, most recently used first.  Every line the model can hold lies
+        inside the sweep, so a set swept fewer than ``ways`` times has no
+        older line left to keep.
+        """
+        num_sets = self.num_sets
+        for index in range(min(num_sets, num_lines)):
+            last = index + (num_lines - 1 - index) // num_sets * num_sets
+            self.sets[index] = list(range(last, -1, -num_sets)[: self.ways])
+
+
+#: Accesses recorded before the hierarchy resolves them in bulk.  The bound
+#: keeps the pending stream's memory fixed however long the run.
+_PENDING_LIMIT = 8192
+
+
 class CPUMemory:
     """MemoryModel charging the engine's accesses to an L1/L2/L3 stack.
 
@@ -100,56 +151,94 @@ class CPUMemory:
     (part of compute); anything beyond L1 counts as stall cycles for the
     access's dimension — mirroring how VTune attributes memory-bound stalls
     in the paper's Fig. 3 methodology.
+
+    Accesses are recorded, then resolved in bulk: ``vertex``/``edge`` only
+    append a byte address, and a full buffer or any read of ``breakdown``
+    runs the pending stream level by level — L1 over the whole stream, L2
+    over L1's misses, L3 over L2's misses — with the cycle sums taken from
+    per-level hit and miss counts.  Every level is a pure LRU, so the
+    result equals charging each access through the stack as it happens.
     """
 
     def __init__(self, graph: CSRGraph, config: CPUConfig | None = None) -> None:
         self.config = config if config is not None else CPUConfig()
         cfg = self.config
         self.depth = 0
-        self.breakdown = CPUTimeBreakdown()
+        self._breakdown = CPUTimeBreakdown()
+        self._entry_bytes = cfg.entry_bytes
         self._edge_region_base = graph.num_vertices * cfg.entry_bytes
         self._num_edge_slots = len(graph.neighbors)
+        self._pending: list[int] = []
+        # Line of the last resolved access: an immediate repeat of it is an
+        # L1 hit that changes no state.
+        self._last_line = -1
         # Optional post-L2 miss observer (repro.obs.hooks attaches one for
         # access-traced runs): called with (byte_address, is_vertex,
-        # went_to_dram) after the stall is charged.  Purely observational.
+        # went_to_dram) at resolve time, in stream order.  Purely
+        # observational.
         self.observer = None
+        self.l1 = _LRULevel(cfg.l1_bytes, cfg)
+        self.l2 = _LRULevel(cfg.l2_bytes, cfg)
+        self.l3 = _LRULevel(cfg.l3_bytes, cfg)
 
-        def level(total_bytes: int) -> SetAssociativeCache:
-            lines = max(cfg.ways, total_bytes // cfg.line_bytes)
-            return SetAssociativeCache(
-                num_sets=max(1, lines // cfg.ways),
-                ways=cfg.ways,
-                line_size=cfg.line_bytes,
-                policy=LRUPolicy(),
-            )
+    @property
+    def breakdown(self) -> CPUTimeBreakdown:
+        """Cycle accounting, including every access recorded so far."""
+        self.resolve()
+        return self._breakdown
 
-        self.l1 = level(cfg.l1_bytes)
-        self.l2 = level(cfg.l2_bytes)
-        self.l3 = level(cfg.l3_bytes)
-
-    def _charge(self, byte_address: int, is_vertex: bool) -> None:
-        cfg = self.config
-        bd = self.breakdown
-        bd.accesses += 1
-        bd.compute_cycles += cfg.cycles_per_access + cfg.l1_latency
-        if self.l1.access(byte_address):
+    def resolve(self) -> None:
+        """Charge the pending accesses to the hierarchy and the breakdown."""
+        pending = self._pending
+        if not pending:
             return
-        if self.l2.access(byte_address):
-            stall = int(cfg.l2_latency * cfg.l2_stall_fraction)
-            bd.compute_cycles += cfg.l2_latency - stall
-            if stall == 0:
-                return
-        else:
-            stall = cfg.l2_latency + cfg.l3_latency
-            l3_hit = self.l3.access(byte_address)
-            if not l3_hit:
-                stall += cfg.dram_latency
-            if self.observer is not None:
-                self.observer(byte_address, is_vertex, not l3_hit)
-        if is_vertex:
-            bd.vertex_stall_cycles += stall
-        else:
-            bd.edge_stall_cycles += stall
+        cfg = self.config
+        bd = self._breakdown
+        addresses = np.array(pending, dtype=np.int64)
+        pending.clear()
+        lines = addresses // cfg.line_bytes
+        previous = np.concatenate(([self._last_line], lines[:-1]))
+        self._last_line = int(lines[-1])
+
+        # Each level sees the previous level's misses, in stream order.
+        l1_seen = np.flatnonzero(lines != previous)
+        l1_miss = l1_seen[self.l1.misses(lines[l1_seen].tolist())]
+        l2_miss = l1_miss[self.l2.misses(lines[l1_miss].tolist())]
+        dram = np.zeros(len(l2_miss), dtype=bool)
+        dram[self.l3.misses(lines[l2_miss].tolist())] = True
+
+        # The vertex region (CSR offsets) ends where the edge region starts.
+        is_vertex = addresses < self._edge_region_base
+        vertex_l2_hits = int(np.count_nonzero(is_vertex[l1_miss])) - int(
+            np.count_nonzero(is_vertex[l2_miss])
+        )
+        l2_hits = len(l1_miss) - len(l2_miss)
+        miss_vertex = is_vertex[l2_miss]
+        vertex_misses = int(np.count_nonzero(miss_vertex))
+        vertex_dram = int(np.count_nonzero(miss_vertex & dram))
+        dram_total = int(np.count_nonzero(dram))
+
+        l2_stall = int(cfg.l2_latency * cfg.l2_stall_fraction)
+        miss_stall = cfg.l2_latency + cfg.l3_latency
+        bd.accesses += len(addresses)
+        bd.compute_cycles += len(addresses) * (
+            cfg.cycles_per_access + cfg.l1_latency
+        ) + l2_hits * (cfg.l2_latency - l2_stall)
+        bd.vertex_stall_cycles += (
+            vertex_l2_hits * l2_stall
+            + vertex_misses * miss_stall
+            + vertex_dram * cfg.dram_latency
+        )
+        bd.edge_stall_cycles += (
+            (l2_hits - vertex_l2_hits) * l2_stall
+            + (len(l2_miss) - vertex_misses) * miss_stall
+            + (dram_total - vertex_dram) * cfg.dram_latency
+        )
+        if self.observer is not None:
+            for event in zip(
+                addresses[l2_miss].tolist(), miss_vertex.tolist(), dram.tolist()
+            ):
+                self.observer(*event)
 
     def warm(self) -> None:
         """Pre-load the graph sequentially and zero the counters.
@@ -158,30 +247,33 @@ class CPUMemory:
         memory of the server", so steady-state cache contents — not cold
         misses — drive its measurements.  At proxy scale a cold pass is a
         visible fraction of the whole (small) run, so experiments warm the
-        hierarchy with one sequential sweep of both regions first.
+        hierarchy with one sequential sweep of both regions first.  Each
+        level's post-sweep contents are set directly.
         """
+        self.resolve()
         line = self.config.line_bytes
         total = self._edge_region_base + self._num_edge_slots * self.config.entry_bytes
-        for address in range(0, total, line):
-            self.l1.access(address)
-            self.l2.access(address)
-            self.l3.access(address)
-        self.breakdown = CPUTimeBreakdown()
-        for cache in (self.l1, self.l2, self.l3):
-            cache.stats.reset()
+        num_lines = -(-total // line)
+        for level in (self.l1, self.l2, self.l3):
+            level.load_sweep(num_lines)
+        self._last_line = -1
+        self._breakdown = CPUTimeBreakdown()
 
     def vertex(self, vid: int) -> None:
-        self._charge(vid * self.config.entry_bytes, is_vertex=True)
+        pending = self._pending
+        pending.append(vid * self._entry_bytes)
+        if len(pending) >= _PENDING_LIMIT:
+            self.resolve()
 
     def edge(self, index: int, src: int) -> None:
-        self._charge(
-            self._edge_region_base + index * self.config.entry_bytes,
-            is_vertex=False,
-        )
+        pending = self._pending
+        pending.append(self._edge_region_base + index * self._entry_bytes)
+        if len(pending) >= _PENDING_LIMIT:
+            self.resolve()
 
     def charge_candidate(self, count: int = 1) -> None:
         """Framework overhead for processing ``count`` candidates."""
-        self.breakdown.compute_cycles += (
+        self._breakdown.compute_cycles += (
             count * self.config.cycles_per_candidate
         )
 

@@ -103,6 +103,8 @@ class RStreamModel:
             disk.read(level_bytes)
             disk.free(join_bytes + level_bytes)
             if emit_spill is not None:
+                # Trace the level's CPU misses ahead of its spill.
+                memory.resolve()
                 emit_spill(join_bytes + level_bytes, "w")
                 emit_spill(level_bytes, "r")
 

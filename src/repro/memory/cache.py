@@ -1,10 +1,9 @@
 """Set-associative cache model.
 
 Functional (hit/miss) model used for the low-priority memory of the LAMH
-(§IV-C), for the uniform-cache baseline of Fig. 12, and — with multiple
-levels stacked — for the CPU cache hierarchy of the Fractal/RStream
-baselines.  Timing is layered on top by the simulators; this module only
-answers "would this access hit?" and keeps exact counters.
+(§IV-C) and for the uniform-cache baseline of Fig. 12.  Timing is layered
+on top by the simulators; this module only answers "would this access
+hit?" and keeps exact counters.
 """
 
 from __future__ import annotations
