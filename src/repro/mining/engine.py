@@ -1,15 +1,20 @@
 """The extend-check mining engine.
 
-This module is the single implementation of embedding extension shared by
-*every* execution vehicle in the repository:
+This module holds the single extend-check kernel, :func:`_extend_check`:
+the ID checks plus the per-member connectivity probes that decide whether
+a candidate extends an embedding.  The drivers and the step API both use
+it:
 
-* the software reference / CPU baselines (DFS and BFS drivers below),
-* the memory-trace collectors (``repro.locality.trace``),
-* the GRAMER cycle simulator (``repro.accel.sim``), which steps
+* the DFS and BFS drivers below (the software reference, the CPU
+  baselines and the memory-trace collectors of ``repro.locality.trace``)
+  stream candidates in tight loops over list views of the CSR arrays and
+  call the kernel once per candidate;
+* the step API (:func:`advance_frame` / :func:`check_candidate`) serves
+  the GRAMER reference simulator (``repro.accel.sim``), which steps
   :class:`Frame` objects one candidate at a time so that slot-level
   pipelining and work stealing can interleave them.
 
-Sharing one engine guarantees the invariant the whole evaluation rests on:
+Sharing one kernel guarantees the invariant the whole evaluation rests on:
 all vehicles enumerate the identical embedding set and emit the identical
 memory-access stream; they differ only in what a memory access *costs*.
 
@@ -30,9 +35,7 @@ locality GRAMER exploits.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Protocol
-
-from .canonical import id_checks_pass
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.csr import CSRGraph
@@ -68,7 +71,11 @@ class MemoryModel(Protocol):
 
 
 class NullMemory:
-    """A memory model that costs nothing (pure software enumeration)."""
+    """A memory model that costs nothing (pure software enumeration).
+
+    :func:`run_dfs` and :func:`run_bfs` treat it like ``mem=None``: they
+    make no memory calls at all, and leave its ``depth`` untouched.
+    """
 
     __slots__ = ("depth",)
 
@@ -138,20 +145,115 @@ class Frame:
         )
 
 
+def _charged(mem: MemoryModel | None) -> MemoryModel | None:
+    """``mem`` when the drivers must call it; ``None`` for a free run."""
+    return None if mem is None or type(mem) is NullMemory else mem
+
+
+def _extend_check(
+    offsets: list[int],
+    neighbors: list[int],
+    vertices: tuple[int, ...],
+    member_idx: int,
+    candidate: int,
+    clique_only: bool,
+    vertex: Callable[[int], None] | None,
+    edge: Callable[[int, int], None] | None,
+    scan: bool,
+) -> int:
+    """The extend-check kernel: accept or reject one candidate.
+
+    Returns the adjacency column of ``candidate`` over the embedding
+    members (bit ``member_idx`` is always set), or 0 when the candidate is
+    rejected.  ``offsets``/``neighbors`` are the CSR arrays as Python lists;
+    ``vertex``/``edge`` are the memory model's charge methods, or ``None``
+    for an uncharged run.
+
+    Rejections happen for (in cost order): ID-canonicality failure
+    (conditions 1, 3 and 4 of :mod:`repro.mining.canonical` — free, the IDs
+    are already in the pipeline registers), duplicate proposal
+    (``candidate`` adjacent to an earlier member, detected by the
+    connectivity checks), or, when ``clique_only``, a missing edge to any
+    member.
+
+    Each connectivity check reads the *member's* CSR record (one vertex
+    access) and probes the member's sorted adjacency slice for
+    ``candidate`` (one edge access per slot read):
+
+    * binary search — ~log2(deg) random probes (a software
+      implementation's choice, and the drivers' only mode);
+    * ``scan`` — stream the slice until the target is found or passed:
+      the paper's §II-B description ("access all edges between its
+      internal vertices and every newly-extended vertex") and what
+      comparator hardware without a search datapath does.  Sequential,
+      but re-streams hub lists constantly — the traffic the high-priority
+      memory pins.
+
+    Both probes give identical results; they differ only in the charged
+    trace.
+    """
+    if candidate in vertices or candidate < vertices[0]:
+        return 0
+    for i in range(member_idx + 1, len(vertices)):
+        if candidate < vertices[i]:
+            return 0
+    column = 1 << member_idx
+    for i, member in enumerate(vertices):
+        if i == member_idx:
+            continue
+        # Random vertex access: the member's offsets locate its slice.
+        if vertex is not None:
+            vertex(member)
+        lo = offsets[member]
+        hi = offsets[member + 1]
+        adjacent = False
+        if scan:
+            for index in range(lo, hi):
+                if edge is not None:
+                    edge(index, member)
+                value = neighbors[index]
+                if value >= candidate:  # sorted: cannot appear later
+                    adjacent = value == candidate
+                    break
+        else:
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if edge is not None:
+                    edge(mid, member)
+                value = neighbors[mid]
+                if value == candidate:
+                    adjacent = True
+                    break
+                if value < candidate:
+                    lo = mid + 1
+                else:
+                    hi = mid
+        if adjacent:
+            if i < member_idx:
+                # First-neighbour violation: this set is generated from
+                # member ``i`` instead; drop the duplicate.
+                return 0
+            column |= 1 << i
+        elif clique_only:
+            return 0
+    return column
+
+
 def advance_frame(graph: "CSRGraph", frame: Frame, mem: MemoryModel) -> int | None:
     """Produce the next raw candidate of ``frame`` (or ``None`` if done).
 
     Advances the member/cursor state, charging the member vertex access on
-    activation and one edge access per adjacency slot read.
+    activation and one edge access per adjacency slot read.  One step of
+    the candidate streaming :func:`run_dfs` does inline; the reference
+    simulator steps frames with it so work stealing can split them.
     """
-    offsets = graph.offsets
-    neighbors = graph.neighbors
+    offsets, neighbors = graph.adjacency_lists()
     while frame.member_idx < frame.member_limit:
         if frame.member_base < 0:
             member = frame.vertices[frame.member_idx]
             mem.vertex(member)
-            frame.member_base = int(offsets[member])
-            frame.member_degree = int(offsets[member + 1]) - frame.member_base
+            frame.member_base = offsets[member]
+            frame.member_degree = offsets[member + 1] - frame.member_base
         bound = frame.member_degree
         if frame.cursor_limit is not None and frame.cursor_limit < bound:
             bound = frame.cursor_limit
@@ -159,55 +261,12 @@ def advance_frame(graph: "CSRGraph", frame: Frame, mem: MemoryModel) -> int | No
             index = frame.member_base + frame.edge_cursor
             frame.edge_cursor += 1
             mem.edge(index, frame.vertices[frame.member_idx])
-            return int(neighbors[index])
+            return neighbors[index]
         frame.member_idx += 1
         frame.edge_cursor = 0
         frame.member_base = -1
         frame.cursor_limit = None
     return None
-
-
-def _search_adjacency(
-    graph: "CSRGraph", u: int, target: int, mem: MemoryModel,
-    probe: str = "binary",
-) -> bool:
-    """Membership test for ``target`` in ``u``'s adjacency.
-
-    ``probe`` selects the memory-access shape of a connectivity check:
-
-    * ``"binary"`` — binary search over the sorted slice: ~log2(deg) random
-      probes (a software implementation's choice).
-    * ``"scan"`` — stream the slice until the target is found or passed:
-      the paper's §II-B description ("access all edges between its internal
-      vertices and every newly-extended vertex") and what comparator
-      hardware without a search datapath does.  Sequential, but re-streams
-      hub lists constantly — the traffic the high-priority memory pins.
-
-    Both return identical results; they differ only in the charged trace.
-    """
-    neighbors = graph.neighbors
-    lo = int(graph.offsets[u])
-    hi = int(graph.offsets[u + 1])
-    if probe == "scan":
-        for index in range(lo, hi):
-            mem.edge(index, u)
-            value = int(neighbors[index])
-            if value == target:
-                return True
-            if value > target:  # sorted slice: target cannot appear later
-                return False
-        return False
-    while lo < hi:
-        mid = (lo + hi) // 2
-        mem.edge(mid, u)
-        value = int(neighbors[mid])
-        if value == target:
-            return True
-        if value < target:
-            lo = mid + 1
-        else:
-            hi = mid
-    return False
 
 
 def check_candidate(
@@ -222,34 +281,17 @@ def check_candidate(
     """Run the full extend-check on one candidate.
 
     Returns ``(accepted, column)`` where ``column`` is the adjacency bitmask
-    of ``candidate`` over the embedding members.  Rejections happen for
-    (in cost order): ID-canonicality failure (free — the IDs are already in
-    the pipeline registers), duplicate proposal (``candidate`` adjacent to
-    an earlier member, detected by the connectivity checks), or, when
-    ``clique_only``, a missing edge to any member.
-
-    Each connectivity check reads the *member's* CSR record and
-    binary-searches the member's adjacency slice — the Fig. 2(b) access
-    pattern (see the module docstring).
+    of ``candidate`` over the embedding members (0 when rejected).  A thin
+    wrapper over the kernel :func:`_extend_check`, which documents the
+    rejection rules; ``probe`` (``"binary"`` or ``"scan"``) selects the
+    memory-access shape of each connectivity check.
     """
-    if not id_checks_pass(vertices, member_idx, candidate):
-        return False, 0
-    column = 1 << member_idx
-    for i, member in enumerate(vertices):
-        if i == member_idx:
-            continue
-        # Random vertex access: the member's offsets locate its slice.
-        mem.vertex(member)
-        adjacent = _search_adjacency(graph, member, candidate, mem, probe)
-        if adjacent:
-            if i < member_idx:
-                # First-neighbour violation: this set is generated from
-                # member ``i`` instead; drop the duplicate.
-                return False, 0
-            column |= 1 << i
-        elif clique_only:
-            return False, 0
-    return True, column
+    offsets, neighbors = graph.adjacency_lists()
+    column = _extend_check(
+        offsets, neighbors, vertices, member_idx, candidate, clique_only,
+        mem.vertex, mem.edge, probe == "scan",
+    )
+    return column != 0, column
 
 
 def run_dfs(
@@ -263,38 +305,83 @@ def run_dfs(
     Every initial embedding (vertex) is recursively extended to the
     application's maximum size before the next root starts; intermediate
     embeddings live only on the stack, never in off-chip storage.
+
+    Candidate streaming is :func:`advance_frame`'s, inlined: a frame
+    records its member and cursor only when it yields to a child, and the
+    child-first order is the access stream.  ``mem.depth`` is set whenever
+    a frame becomes the top of the stack.
     """
-    mem = mem if mem is not None else NullMemory()
+    mem = _charged(mem)
+    vertex = mem.vertex if mem is not None else None
+    edge = mem.edge if mem is not None else None
+    # Per-run lists, not graph.adjacency_lists(): the graph store keeps
+    # opened graphs alive, and a memo would pin these lists with them.
+    offsets = graph.offsets.tolist()
+    neighbors = graph.neighbors.tolist()
     app.prepare(graph)
     root_iter = roots if roots is not None else range(graph.num_vertices)
     clique_only = app.clique_only
-    for root in root_iter:
-        if not app.root_filter(graph, root):
-            continue
-        stack = [Frame((int(root),), (0,))]
-        while stack:
-            frame = stack[-1]
-            mem.depth = frame.size
-            candidate = advance_frame(graph, frame, mem)
-            if candidate is None:
-                stack.pop()
+    max_vertices = app.max_vertices
+    app_filter = app.filter
+    process = app.process
+    aggregate_filter = app.aggregate_filter
+    checked = 0
+    try:
+        for root in root_iter:
+            if not app.root_filter(graph, root):
                 continue
-            app.candidates_checked += 1
-            accepted, column = check_candidate(
-                graph, frame.vertices, frame.member_idx, candidate,
-                clique_only, mem,
-            )
-            if not accepted:
-                continue
-            vertices = frame.vertices + (candidate,)
-            columns = frame.columns + (column,)
-            if not app.filter(graph, vertices, columns):
-                continue
-            app.process(graph, vertices, columns)
-            if len(vertices) < app.max_vertices and app.aggregate_filter(
-                graph, vertices, columns
-            ):
-                stack.append(Frame(vertices, columns))
+            stack = [Frame((int(root),), (0,))]
+            while stack:
+                frame = stack[-1]
+                vertices = frame.vertices
+                columns = frame.columns
+                num_members = len(vertices)
+                if mem is not None:
+                    mem.depth = num_members
+                m_idx = frame.member_idx
+                base = frame.member_base  # >= 0 only when resuming
+                while m_idx < num_members:
+                    member = vertices[m_idx]
+                    if base < 0:
+                        if vertex is not None:
+                            vertex(member)
+                        base = offsets[member]
+                        start = base
+                    else:
+                        start = base + frame.edge_cursor
+                    for index in range(start, offsets[member + 1]):
+                        if edge is not None:
+                            edge(index, member)
+                        candidate = neighbors[index]
+                        checked += 1
+                        column = _extend_check(
+                            offsets, neighbors, vertices, m_idx, candidate,
+                            clique_only, vertex, edge, False,
+                        )
+                        if not column:
+                            continue
+                        new_vertices = vertices + (candidate,)
+                        new_columns = columns + (column,)
+                        if not app_filter(graph, new_vertices, new_columns):
+                            continue
+                        process(graph, new_vertices, new_columns)
+                        if len(new_vertices) < max_vertices and aggregate_filter(
+                            graph, new_vertices, new_columns
+                        ):
+                            frame.member_idx = m_idx
+                            frame.member_base = base
+                            frame.edge_cursor = index + 1 - base
+                            stack.append(Frame(new_vertices, new_columns))
+                            break
+                    else:  # member exhausted: activate the next one
+                        m_idx += 1
+                        base = -1
+                        continue
+                    break  # a child was pushed: descend into it
+                else:  # every member exhausted
+                    stack.pop()
+    finally:
+        app.candidates_checked += checked
     app.finalize(graph)
     return app
 
@@ -324,53 +411,68 @@ def run_bfs(
     level generated — so the RStream disk model can charge both the
     intermediate-embedding traffic and the join-intermediate tuples its
     relational plan materialises.
+
+    BFS frames are never split, so candidate streaming is a plain loop over
+    each embedding's members and their adjacency slices.
     """
-    mem = mem if mem is not None else NullMemory()
+    mem = _charged(mem)
+    vertex = mem.vertex if mem is not None else None
+    edge = mem.edge if mem is not None else None
+    offsets = graph.offsets.tolist()
+    neighbors = graph.neighbors.tolist()
     app.prepare(graph)
     clique_only = app.clique_only
+    app_filter = app.filter
+    process = app.process
+    aggregate_filter = app.aggregate_filter
     frontier: list[tuple[tuple[int, ...], tuple[int, ...]]] = [
         ((v,), (0,))
         for v in range(graph.num_vertices)
         if app.root_filter(graph, v)
     ]
     size = 1
-    while frontier and size < app.max_vertices:
-        candidates_before = app.candidates_checked
-        next_frontier: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        for vertices, columns in frontier:
-            if not app.aggregate_filter(graph, vertices, columns):
-                continue
-            frame = Frame(vertices, columns)
-            mem.depth = frame.size
-            while True:
-                candidate = advance_frame(graph, frame, mem)
-                if candidate is None:
-                    break
-                app.candidates_checked += 1
-                accepted, column = check_candidate(
-                    graph, vertices, frame.member_idx, candidate,
-                    clique_only, mem,
+    checked = 0
+    try:
+        while frontier and size < app.max_vertices:
+            checked_before = checked
+            next_frontier: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+            for vertices, columns in frontier:
+                if not aggregate_filter(graph, vertices, columns):
+                    continue
+                if mem is not None:
+                    mem.depth = len(vertices)
+                for m_idx, member in enumerate(vertices):
+                    if vertex is not None:
+                        vertex(member)
+                    for index in range(offsets[member], offsets[member + 1]):
+                        if edge is not None:
+                            edge(index, member)
+                        candidate = neighbors[index]
+                        checked += 1
+                        column = _extend_check(
+                            offsets, neighbors, vertices, m_idx, candidate,
+                            clique_only, vertex, edge, False,
+                        )
+                        if not column:
+                            continue
+                        new_vertices = vertices + (candidate,)
+                        new_columns = columns + (column,)
+                        if not app_filter(graph, new_vertices, new_columns):
+                            continue
+                        process(graph, new_vertices, new_columns)
+                        next_frontier.append((new_vertices, new_columns))
+                        if len(next_frontier) > max_frontier:
+                            raise FrontierOverflowError(
+                                f"frontier at size {size + 1} exceeded "
+                                f"{max_frontier} embeddings"
+                            )
+            if frontier_observer is not None:
+                frontier_observer(
+                    size + 1, len(next_frontier), checked - checked_before
                 )
-                if not accepted:
-                    continue
-                new_vertices = vertices + (candidate,)
-                new_columns = columns + (column,)
-                if not app.filter(graph, new_vertices, new_columns):
-                    continue
-                app.process(graph, new_vertices, new_columns)
-                next_frontier.append((new_vertices, new_columns))
-                if len(next_frontier) > max_frontier:
-                    raise FrontierOverflowError(
-                        f"frontier at size {size + 1} exceeded "
-                        f"{max_frontier} embeddings"
-                    )
-        if frontier_observer is not None:
-            frontier_observer(
-                size + 1,
-                len(next_frontier),
-                app.candidates_checked - candidates_before,
-            )
-        frontier = next_frontier
-        size += 1
+            frontier = next_frontier
+            size += 1
+    finally:
+        app.candidates_checked += checked
     app.finalize(graph)
     return app
