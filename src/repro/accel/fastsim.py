@@ -21,11 +21,11 @@ but restructured for throughput:
   eliminating the per-access recorder calls, and the CSR arrays are
   accessed as Python lists (numpy scalar indexing dominates the reference
   profile).
-* **Event-loop short-circuit.**  The model maintains at most one heap entry
-  per slot, and a freshly pushed entry carries the largest sequence number
-  (ties lose).  So when a slot's next event time is strictly earlier than
-  the current heap head, the push/pop pair is skipped and the slot
-  continues inline — the pop order is provably unchanged.
+* **Calendar event queue.**  The reference pops one pending event per slot
+  in ``(time, seq)`` order, ``seq`` being push order.  FIFO buckets indexed
+  by cycle (Brown, CACM 1988) give the same order with list appends; events
+  past the ring's window wait aside and become their bucket before any
+  later push for that cycle can land in it.
 
 Equivalence contract
 --------------------
@@ -44,8 +44,6 @@ whenever an instrument is attached.
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
@@ -68,6 +66,9 @@ from .sim import (
 from .stats import SimStats
 
 __all__ = ["FastGramerSimulator"]
+
+# Calendar-queue window in cycles, a power of two; later events go to `far`.
+_RING = 512
 
 
 class FastGramerSimulator:
@@ -238,34 +239,30 @@ class FastGramerSimulator:
         compute_cycles = 0
         v_wait = e_wait = 0
 
-        # Heap entries are single ints: (time << 64) | (seq << 16) | g.
-        # Integer comparison is substantially cheaper than tuple comparison
-        # in the pop/push sift loops, and ordering is identical to the
-        # reference's (t, seq, p, s) tuples: seq strictly increases per
-        # push, so same-time entries pop in push order.  Seeds match the
-        # reference: every slot at t=0 in row-major (p, s) order.
-        if G > 0xFFFF:
-            raise ValueError(
-                "fast engine supports at most 65535 slots; "
-                "use engine='reference' for larger machines"
-            )
-        heap: list[int] = [(g << 16) | g for g in range(G)]
-        seq = G
-        heappush = heapq.heappush
+        # Calendar queue (Brown, CACM 1988): ring[t & mask] lists the slots
+        # due at cycle t in push order, for t in [now, now + R); far[t] holds
+        # later ones and becomes bucket t before any push for t can land in
+        # it.  So buckets pop in the reference's (t, seq) order; seeds are
+        # every slot at t=0, row-major.
+        R = _RING
+        mask = R - 1
+        ring: list[list[int]] = [[] for _ in range(R)]
+        ring[0].extend(range(G))
+        far: dict[int, list[int]] = {}
+        live = G  # slots with a pending event; a parked slot never returns
+        now = 0
 
         try:
-            while heap:
-                ev = heapq.heappop(heap)
-                g = ev & 0xFFFF
-                t = ev >> 64
-                # Inner loop: keep driving slot g while its next event is
-                # provably the next pop (strictly earlier than the heap
-                # head; a pushed entry would lose every tie on seq).
-                while True:
+            while live:
+                horizon = now + R
+                bucket = ring[now & mask]
+                # A list iterator visits appends: a slot pushed back at `now`
+                # runs after all already queued, losing every tie on seq.
+                for g in bucket:
                     tg = slot_time[g]
-                    if t > tg:
-                        slot_gap[g] += t - tg
-                        tg = t
+                    if now > tg:
+                        slot_gap[g] += now - tg
+                        tg = now
                     ops = slot_ops[g]
                     if ops:
                         kind, address, src, pre = ops.pop()
@@ -326,17 +323,16 @@ class FastGramerSimulator:
                                 else:
                                     slot_time[g] = tg
                                     nt = tg + _STEAL_RETRY_CYCLES
-                                    pk = (nt << 64) | (seq << 16) | g
-                                    if heap and pk >= heap[0]:
-                                        heappush(heap, pk)
-                                        seq += 1
-                                        break
-                                    t = nt
+                                    if nt < horizon:
+                                        ring[nt & mask].append(g)
+                                    else:
+                                        far.setdefault(nt, []).append(g)
                                     continue
                             else:
                                 # Slot parks: no roots, nothing to steal.
                                 slot_time[g] = tg
-                                break
+                                live -= 1
+                                continue
 
                         # -- functional phase: fused _record_step ------------
                         frame = stack[-1]
@@ -631,12 +627,14 @@ class FastGramerSimulator:
                     if not ops and not stacks[g]:
                         pu_busy[pu_of[g]] -= 1
                     slot_time[g] = tg
-                    pk = (tg << 64) | (seq << 16) | g
-                    if heap and pk >= heap[0]:
-                        heappush(heap, pk)
-                        seq += 1
-                        break
-                    t = tg
+                    if tg < horizon:
+                        ring[tg & mask].append(g)
+                    else:
+                        far.setdefault(tg, []).append(g)
+                bucket.clear()
+                now += 1
+                if far:  # cycle now + R - 1 enters the window, in this bucket
+                    bucket.extend(far.pop(now + mask, ()))
         finally:
             # The reference engine bumps this per candidate; fold the batch
             # in on every exit path so app state matches even on raise.

@@ -88,7 +88,7 @@ configs = st.builds(
     lam=st.sampled_from([0.0, 0.5, 1.0, 8.0]),
     low_policy=st.sampled_from(["locality", "lru", "uniform"]),
     probe_mode=st.sampled_from(["binary", "scan"]),
-    dram_latency=st.sampled_from([20, 100]),
+    dram_latency=st.sampled_from([20, 100, 700]),
     dram_channels=st.sampled_from([1, 2, 4]),
     dram_cycles_per_transfer=st.integers(1, 2),
     issue_cycles=st.integers(1, 2),
