@@ -5,13 +5,23 @@ An :class:`Application` supplies ``Aggregate_filter``, ``Filter`` and
 embedding-centric model of Algorithm 1.  Results accumulate in per-size
 pattern counters; :meth:`result` snapshots them into an immutable
 :class:`MiningResult`.
+
+``Process`` is deferred.  Table I's ``Process`` emits one ``(P(e), value)``
+pair per embedding, to be reduced by pattern; that reduction is
+associative, and the embeddings of a run collapse into a few hundred
+distinct raw *shapes* — the adjacency-column tuple the extend-check built
+(plus the member labels, for labelled apps).  So :meth:`Application.process`
+only counts shapes, and the per-size counters are folded from them, one
+canonicalization per distinct shape, whenever they are read.  The fold
+walks the shapes in first-seen order, so every counter key is inserted by
+the first embedding that had it, exactly as per-embedding counting would.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.mining.patterns import PatternCode, code_from_columns
 
@@ -71,9 +81,31 @@ class Application:
 
     def reset(self) -> None:
         """Clear accumulated state so the instance can run again."""
-        self.embeddings_by_size: Counter[int] = Counter()
-        self.patterns_by_size: dict[int, Counter[PatternCode]] = {}
+        self._embeddings_by_size: Counter[int] = Counter()
+        self._patterns_by_size: dict[int, Counter[PatternCode]] = {}
+        # Raw shape -> embeddings not yet folded into the counters above,
+        # in first-seen order.  A shape is ``columns``, or ``(columns,
+        # labels)`` when the app needs labels.
+        self._pending: dict[tuple[Any, ...], int] = {}
+        # The per-run label list and the graph it was resolved from.
+        self._labels_graph: "CSRGraph | None" = None
+        self._labels: list[int] = []
         self.candidates_checked = 0  # maintained by the engines
+
+    @property
+    def embeddings_by_size(self) -> Counter[int]:
+        """Accepted embeddings per size (folds pending shapes first)."""
+        self._fold()
+        return self._embeddings_by_size
+
+    @property
+    def patterns_by_size(self) -> dict[int, Counter[PatternCode]]:
+        """Per-size pattern counters (folds pending shapes first).
+
+        Only sizes where :meth:`counts_patterns` holds have a counter.
+        """
+        self._fold()
+        return self._patterns_by_size
 
     def prepare(self, graph: "CSRGraph") -> None:
         """Pre-run hook (e.g. FSM precomputes level-2 support counts)."""
@@ -111,15 +143,21 @@ class Application:
         vertices: tuple[int, ...],
         columns: tuple[int, ...],
     ) -> None:
-        """``Process(e')`` — default: count the embedding and its pattern."""
-        size = len(vertices)
-        self.embeddings_by_size[size] += 1
-        if self.counts_patterns(size):
-            code = self.pattern_of(graph, vertices, columns)
-            by_size = self.patterns_by_size.get(size)
-            if by_size is None:
-                by_size = self.patterns_by_size[size] = Counter()
-            by_size[code] += 1
+        """``Process(e')`` — default: count the embedding and its pattern.
+
+        One dict increment keyed by the embedding's raw shape; the shape
+        is canonicalized to ``P(e)`` once, when the counters are next read
+        (see the module docstring).
+        """
+        if self.needs_labels:
+            labels = self._run_labels(graph)
+            key: tuple[Any, ...] = (
+                columns, tuple([labels[v] for v in vertices])
+            )
+        else:
+            key = columns
+        pending = self._pending
+        pending[key] = pending.get(key, 0) + 1
 
     # -- helpers -----------------------------------------------------------------
 
@@ -134,12 +172,43 @@ class Application:
         columns: tuple[int, ...],
     ) -> PatternCode:
         """Canonical pattern ``P(e)`` of an embedding."""
-        labels = (
-            tuple(graph.label(v) for v in vertices)
-            if self.needs_labels
-            else None
-        )
-        return code_from_columns(columns, labels)
+        if self.needs_labels:
+            labels = self._run_labels(graph)
+            return code_from_columns(columns, [labels[v] for v in vertices])
+        return code_from_columns(columns)
+
+    def _run_labels(self, graph: "CSRGraph") -> list[int]:
+        """``graph``'s vertex labels as a list, resolved once per run.
+
+        Held on the application, never memoized on the graph: the graph
+        store keeps opened graphs alive, and would pin the list with them.
+        """
+        if graph is not self._labels_graph:
+            self._labels = graph.labels.tolist()
+            self._labels_graph = graph
+        return self._labels
+
+    def _fold(self) -> None:
+        """Fold the pending shapes into the per-size counters."""
+        pending = self._pending
+        if not pending:
+            return
+        embeddings = self._embeddings_by_size
+        patterns = self._patterns_by_size
+        labelled = self.needs_labels
+        for key, count in pending.items():
+            if labelled:
+                columns, labels = key
+            else:
+                columns, labels = key, None
+            size = len(columns)
+            embeddings[size] += count
+            if self.counts_patterns(size):
+                by_size = patterns.get(size)
+                if by_size is None:
+                    by_size = patterns[size] = Counter()
+                by_size[code_from_columns(columns, labels)] += count
+        pending.clear()
 
     def summary(self) -> dict[str, object]:
         """Application-specific result summary (override as needed)."""

@@ -46,10 +46,33 @@ class TestMotifCounting:
         assert app.named_census() == {"wedge": 5}
 
     def test_reset_clears(self):
+        fresh = MotifCounting(3)
+        assert fresh.embeddings_by_size == {}
+        assert fresh.patterns_by_size == {}
+        # Reset straight after the run, while its shapes are still pending.
         app = run_dfs(cycle(5), MotifCounting(3))
         app.reset()
         assert app.motif_census() == {}
+        assert app.embeddings_by_size == {}
         assert app.candidates_checked == 0
+        graph = powerlaw_cluster(30, 3, 0.5, seed=1)
+        reused = run_dfs(graph, app).result()
+        assert reused == run_dfs(graph, MotifCounting(3)).result()
+        assert list(reused.patterns_by_size[3].items()) == list(
+            run_dfs(graph, MotifCounting(3)).patterns_by_size[3].items()
+        )
+
+    def test_reset_and_reuse_on_another_labelled_graph(self):
+        first = labeled_triangle_graph()
+        second = random_labels(powerlaw_cluster(30, 3, 0.5, seed=1), 3, seed=2)
+        app = run_dfs(first, FrequentSubgraphMining(1))
+        app.reset()
+        reused = run_dfs(second, app).result()
+        fresh = run_dfs(second, FrequentSubgraphMining(1)).result()
+        assert reused == fresh
+        assert list(reused.patterns_by_size[3].items()) == list(
+            fresh.patterns_by_size[3].items()
+        )
 
 
 def labeled_triangle_graph():
