@@ -16,11 +16,12 @@ but restructured for throughput:
   queues are parallel arrays indexed by global slot id; partition and DRAM
   channel queues are plain integer arrays updated with branchless max
   arithmetic.
-* **Fused functional step.**  ``advance_frame`` + ``check_candidate`` +
-  the adjacency search are inlined with direct appends to the op list,
-  eliminating the per-access recorder calls, and the CSR arrays are
-  accessed as Python lists (numpy scalar indexing dominates the reference
-  profile).
+* **Shared functional step.**  Each step is the reference's own
+  :func:`~repro.mining.engine.slot_step` over the CSR arrays as Python
+  lists (numpy scalar indexing dominates the reference profile); per-slot
+  recorder callbacks append the op records straight into the slot's
+  queue.  Work stealing is the reference's
+  :class:`~repro.accel.scheduler.Stealer`.
 * **Calendar event queue.**  The reference pops one pending event per slot
   in ``(time, seq)`` order, ``seq`` being push order.  FIFO buckets indexed
   by cycle (Brown, CACM 1988) give the same order with list appends; events
@@ -33,9 +34,11 @@ For every graph/config/application, ``FastGramerSimulator(...).run(app)``
 must produce byte-identical ``SimStats.as_dict()`` and mining results to
 the reference engine.  This is enforced by the differential harness
 (``tests/differential/``), the golden fixtures
-(``tests/experiments/golden/``) and the Table III determinism test.  Any
-behavioural change to the reference model must be mirrored here (and will
-be caught by those suites if it is not).
+(``tests/experiments/golden/``) and the Table III determinism test.  The
+functional step and the steal discipline are shared code; only the
+timing (issue port, partitions, caches, DRAM, event order) is written
+twice, and a change to the reference's timing must be mirrored here (the
+suites catch it if it is not).
 
 Observability hooks are *not* supported: instrumented runs observe
 per-event state that this engine deliberately does not materialise, so
@@ -52,11 +55,11 @@ from repro.memory.dram import DRAMModel
 from repro.memory.hierarchy import build_hierarchy
 from repro.memory.policies import LocalityPreservedPolicy, LRUPolicy
 from repro.mining.apps.base import Application
-from repro.mining.engine import Frame
+from repro.mining.engine import Frame, slot_step
 
 from .config import GramerConfig
 from .frontend import dispatch_roots
-from .scheduler import StealingBuffer, steal_from_stack
+from .scheduler import Stealer
 from .sim import (
     _STEAL_RETRY_CYCLES,
     AncestorBufferOverflowError,
@@ -218,11 +221,23 @@ class FastGramerSimulator:
         slot_time = [0] * G
         slot_gap = [0] * G
         stacks: list[list[Frame]] = [[] for _ in range(G)]
+        # A slot's recorded ops of the step in flight, filled through the
+        # slot's own recorder callbacks: memory ops carry no compute (the
+        # issue cycles precede the first op, the rest trails in the END op).
         slot_ops: list[list[tuple[int, int, int, int]]] = [[] for _ in range(G)]
+        rec_vertex = [
+            (lambda vid, _a=ops.append: _a((0, vid, 0, 0))) for ops in slot_ops
+        ]
+        rec_edge = [
+            (lambda index, src, _a=ops.append: _a((1, index, src, 0)))
+            for ops in slot_ops
+        ]
         pu_free = [0] * P
         pu_busy = [0] * P
-        sbufs = [StealingBuffer(S) for _ in range(P)]
-        lfsr = [((p * 0x9E3779B9 + 0x1234567) & 0xFFFFFFFF) or 1 for p in range(P)]
+        stealers = [
+            Stealer(p, stacks[p * S:(p + 1) * S], random_steal) for p in range(P)
+        ]
+        sbufs = [stealer.buffer for stealer in stealers]
         pu_of = [g // S for g in range(G)]
         sid_of = [g % S for g in range(G)]
         part_free = [0] * nparts
@@ -285,41 +300,9 @@ class FastGramerSimulator:
                                 sbufs[p].push(sid_of[g])
                             elif stealing and pu_busy[p] > 0:
                                 steal_attempts += 1
-                                # Inline ProcessingUnit.try_steal.
-                                stolen = None
-                                base_g = p * S
-                                sid = sid_of[g]
-                                if random_steal:
-                                    x = lfsr[p]
-                                    x ^= (x << 13) & 0xFFFFFFFF
-                                    x ^= x >> 17
-                                    x ^= (x << 5) & 0xFFFFFFFF
-                                    lfsr[p] = x
-                                    vic = x % S
-                                    if vic != sid and stacks[base_g + vic]:
-                                        stolen = steal_from_stack(
-                                            stacks[base_g + vic]
-                                        )
-                                else:
-                                    buf = sbufs[p]
-                                    for _ in range(len(buf)):
-                                        vic = buf.pop()
-                                        if vic is None:
-                                            break
-                                        if vic == sid or not stacks[base_g + vic]:
-                                            continue
-                                        frame = steal_from_stack(
-                                            stacks[base_g + vic]
-                                        )
-                                        if frame is not None:
-                                            buf.push(vic)
-                                            stolen = frame
-                                            break
-                                if stolen is not None:
-                                    stack.append(stolen)
+                                if stealers[p].steal(sid_of[g]) >= 0:
                                     steals += 1
                                     pu_busy[p] += 1
-                                    sbufs[p].push(sid)
                                 else:
                                     slot_time[g] = tg
                                     nt = tg + _STEAL_RETRY_CYCLES
@@ -334,109 +317,25 @@ class FastGramerSimulator:
                                 live -= 1
                                 continue
 
-                        # -- functional phase: fused _record_step ------------
-                        frame = stack[-1]
-                        ops = []
-                        append = ops.append
-                        pre = issue_cycles
-                        vertices = frame.vertices
-                        m_idx = frame.member_idx
-                        m_lim = frame.member_limit
-                        candidate = None
-                        # advance_frame, with offsets/neighbors as lists
-                        while m_idx < m_lim:
-                            mb = frame.member_base
-                            if mb < 0:
-                                member = vertices[m_idx]
-                                append((0, member, 0, pre))
-                                pre = 0
-                                mb = offsets[member]
-                                frame.member_base = mb
-                                frame.member_degree = offsets[member + 1] - mb
-                            bound = frame.member_degree
-                            cl = frame.cursor_limit
-                            if cl is not None and cl < bound:
-                                bound = cl
-                            ec = frame.edge_cursor
-                            if ec < bound:
-                                index = mb + ec
-                                frame.edge_cursor = ec + 1
-                                append((1, index, vertices[m_idx], pre))
-                                pre = 0
-                                candidate = neighbors[index]
-                                break
-                            m_idx += 1
-                            frame.member_idx = m_idx
-                            frame.edge_cursor = 0
-                            frame.member_base = -1
-                            frame.cursor_limit = None
-
+                        # -- functional phase: _record_step ------------------
+                        candidate, column = slot_step(
+                            offsets, neighbors, stack[-1], clique_only,
+                            scan_probe, rec_vertex[g], rec_edge[g],
+                        )
                         # compute_cycles is the order-independent sum of all
-                        # `pre` values ever serviced, so it is accumulated
-                        # here (once per step) rather than per event.
+                        # compute ever serviced, so it is accumulated here
+                        # (once per step) rather than per event.
                         if candidate is None:
                             stack.pop()
-                            pre += 1  # traceback: dequeue the ancestor record
+                            pre = 1  # traceback: dequeue the ancestor record
                             compute_cycles += issue_cycles + 1
                         else:
                             candidates_checked += 1
-                            midx = frame.member_idx
-                            # id_checks_pass (pure ID comparisons)
-                            if candidate in vertices or candidate < vertices[0]:
-                                accepted = False
-                            else:
-                                accepted = True
-                                nverts = len(vertices)
-                                i = midx + 1
-                                while i < nverts:
-                                    if candidate < vertices[i]:
-                                        accepted = False
-                                        break
-                                    i += 1
-                            column = 0
-                            if accepted:
-                                # check_candidate connectivity loop
-                                column = 1 << midx
-                                for i, member in enumerate(vertices):
-                                    if i == midx:
-                                        continue
-                                    append((0, member, 0, 0))
-                                    lo = offsets[member]
-                                    hi = offsets[member + 1]
-                                    adjacent = False
-                                    if scan_probe:
-                                        for index in range(lo, hi):
-                                            append((1, index, member, 0))
-                                            value = neighbors[index]
-                                            if value == candidate:
-                                                adjacent = True
-                                                break
-                                            if value > candidate:
-                                                break
-                                    else:
-                                        while lo < hi:
-                                            mid = (lo + hi) // 2
-                                            append((1, mid, member, 0))
-                                            value = neighbors[mid]
-                                            if value == candidate:
-                                                adjacent = True
-                                                break
-                                            if value < candidate:
-                                                lo = mid + 1
-                                            else:
-                                                hi = mid
-                                    if adjacent:
-                                        if i < midx:
-                                            accepted = False
-                                            break
-                                        column |= 1 << i
-                                    elif clique_only:
-                                        accepted = False
-                                        break
-                            pre += check_cycles
+                            pre = check_cycles
                             compute_cycles += issue_cycles + check_cycles
-                            if accepted:
-                                new_vertices = vertices + (candidate,)
+                            if column:
+                                frame = stack[-1]
+                                new_vertices = frame.vertices + (candidate,)
                                 new_columns = frame.columns + (column,)
                                 if app_filter(graph, new_vertices, new_columns):
                                     app_process(graph, new_vertices, new_columns)
@@ -459,19 +358,19 @@ class FastGramerSimulator:
                                         )
                                         sbufs[p].push(sid_of[g])
                         if pre or not ops:
-                            append((2, 0, 0, pre))  # _RecordingMemory.finish
+                            ops.append((2, 0, 0, pre))  # _RecordingMemory.finish
                         # Consumed back-to-front with list.pop(): cheaper
                         # than cursor bookkeeping, and `ops` doubles as the
                         # "step in flight" flag once reversed.
                         ops.reverse()
-                        slot_ops[g] = ops
                         kind, address, src, pre = ops.pop()
-                        # The step's first op claims the PU issue port (the
-                        # continuation ops above just did `tg += pre`).
+                        # The step's first op claims the PU issue port, and
+                        # the issue compute precedes it (the continuation
+                        # ops above just did `tg += pre`).
                         nf = pu_free[p]
                         start = tg if tg > nf else nf
                         pu_free[p] = start + issue_cycles
-                        tg = start + pre
+                        tg = start + issue_cycles + pre
 
                     # -- timing phase: inlined _service_op -------------------
                     if kind == 0:

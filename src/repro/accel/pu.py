@@ -3,65 +3,30 @@
 A PU owns a slot buffer (16 slot IDs), one ancestor buffer per slot, a
 stealing buffer, and a single-issue scheduler port ("the Scheduler ...
 schedules one valid embedding per cycle").  The simulator models the issue
-port as a ``next_free`` resource timestamp and each slot as a
-:class:`~repro.accel.scheduler.SlotContext`.
+port as a ``next_free`` resource timestamp, each slot as a
+:class:`~repro.accel.scheduler.SlotContext` and work stealing as a
+:class:`~repro.accel.scheduler.Stealer` over the slots' stacks.
 """
 
 from __future__ import annotations
 
-from repro.mining.engine import Frame
-
 from .config import GramerConfig
-from .scheduler import SlotContext, StealingBuffer, steal_from_stack
+from .scheduler import SlotContext, Stealer
 
 __all__ = ["ProcessingUnit"]
 
 
 class ProcessingUnit:
-    """One GRAMER PU: slots, stealing buffer, issue port."""
+    """One GRAMER PU: slots, work stealing, issue port."""
 
     def __init__(self, index: int, config: GramerConfig) -> None:
         self.index = index
         self.config = config
         self.slots = [SlotContext(i) for i in range(config.slots_per_pu)]
-        self.stealing_buffer = StealingBuffer(config.slots_per_pu)
+        self.stealer = Stealer(
+            index,
+            [slot.stack for slot in self.slots],
+            config.steal_victim_select == "random",
+        )
         self.next_free = 0  # scheduler issue port availability (cycles)
         self.busy_slots = 0
-        # Per-PU LFSR seed for the random victim selector of [8].
-        self._lfsr = (index * 0x9E3779B9 + 0x1234567) & 0xFFFFFFFF or 1
-
-    def _lfsr_next(self) -> int:
-        x = self._lfsr
-        x ^= (x << 13) & 0xFFFFFFFF
-        x ^= x >> 17
-        x ^= (x << 5) & 0xFFFFFFFF
-        self._lfsr = x
-        return x
-
-    def try_steal(self, thief_slot: SlotContext) -> Frame | None:
-        """Attempt to steal work for ``thief_slot`` from a busy sibling.
-
-        With ``steal_victim_select='stealing_buffer'`` the PU pops recorded
-        busy slot IDs (skipping stale ones) until a splittable stack is
-        found; with ``'random'`` a single LFSR-chosen slot is probed, which
-        frequently lands on an idle slot — exactly the weakness §V-C cites.
-        """
-        if self.config.steal_victim_select == "random":
-            victim = self.slots[self._lfsr_next() % len(self.slots)]
-            if victim is thief_slot or victim.idle:
-                return None
-            return steal_from_stack(victim.stack)
-
-        for _ in range(len(self.stealing_buffer) or 0):
-            slot_id = self.stealing_buffer.pop()
-            if slot_id is None:
-                return None
-            victim = self.slots[slot_id]
-            if victim is thief_slot or victim.idle:
-                continue
-            stolen = steal_from_stack(victim.stack)
-            if stolen is not None:
-                # The victim is still busy with its remaining half.
-                self.stealing_buffer.push(slot_id)
-                return stolen
-        return None

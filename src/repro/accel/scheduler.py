@@ -5,16 +5,24 @@ slot ID.  A slot's extension path lives in its *ancestor buffer* — here the
 stack of compacted :class:`~repro.mining.engine.Frame` records (extending
 vertex + offset, Fig. 10).  The *stealing buffer* tracks recently busy slot
 IDs so an idle slot can steal work from a demonstrably busy one instead of
-probing randomly (§V-C's comparison against the LFSR selector of [8]).
+probing randomly (§V-C's comparison against the LFSR selector of [8]);
+:class:`Stealer` is that steal discipline, shared by every engine.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
+from repro.memory.policies import xorshift32
 from repro.mining.engine import Frame
 
-__all__ = ["SlotContext", "StealingBuffer", "split_frame", "steal_from_stack"]
+__all__ = [
+    "SlotContext",
+    "StealingBuffer",
+    "Stealer",
+    "split_frame",
+    "steal_from_stack",
+]
 
 
 class SlotContext:
@@ -29,7 +37,6 @@ class SlotContext:
         "stack",
         "time",
         "busy_cycles",
-        "roots_started",
         "pending",
     )
 
@@ -38,7 +45,6 @@ class SlotContext:
         self.stack: list[Frame] = []
         self.time = 0
         self.busy_cycles = 0
-        self.roots_started = 0
         self.pending: deque = deque()
 
     @property
@@ -135,3 +141,56 @@ def steal_from_stack(stack: list[Frame]) -> Frame | None:
         if thief is not None:
             return thief
     return None
+
+
+class Stealer:
+    """One PU's work stealing (§V-C): stealing buffer or LFSR victim choice.
+
+    ``stacks`` are the PU's per-slot ancestor-buffer stacks, indexed by
+    slot ID; the engine mutates them in place and pushes a slot into
+    ``buffer`` whenever that slot receives an embedding.  ``random``
+    selects the LFSR victim selector of [8], seeded per PU.
+    """
+
+    __slots__ = ("stacks", "buffer", "random", "lfsr")
+
+    def __init__(
+        self, pu_index: int, stacks: list[list[Frame]], random: bool
+    ) -> None:
+        self.stacks = stacks
+        self.buffer = StealingBuffer(len(stacks))
+        self.random = random
+        self.lfsr = (pu_index * 0x9E3779B9 + 0x1234567) & 0xFFFFFFFF or 1
+
+    def steal(self, thief: int) -> int:
+        """Hand slot ``thief`` work split from a busy sibling's stack.
+
+        Returns the victim's slot ID, or -1 when nothing was stolen.  In
+        random mode one LFSR-chosen slot is probed, which often lands on
+        the thief or an idle slot: exactly the weakness §V-C cites.
+        Otherwise buffered busy IDs are popped, skipping stale ones, until
+        a splittable stack is found; that victim is re-pushed, since it is
+        still busy with its remaining half.  On success the stolen frame
+        tops the thief's stack and the thief is recorded busy.
+        """
+        stacks = self.stacks
+        buffer = self.buffer
+        stolen = None
+        if self.random:
+            self.lfsr = x = xorshift32(self.lfsr)
+            victim = x % len(stacks)
+            if victim != thief and stacks[victim]:
+                stolen = steal_from_stack(stacks[victim])
+        else:
+            for _ in range(len(buffer)):
+                victim = buffer.pop()
+                if victim != thief and stacks[victim]:
+                    stolen = steal_from_stack(stacks[victim])
+                    if stolen is not None:
+                        buffer.push(victim)
+                        break
+        if stolen is None:
+            return -1
+        stacks[thief].append(stolen)
+        buffer.push(thief)
+        return victim

@@ -10,12 +10,11 @@ Model structure
 ---------------
 * **Functional phase.**  When a slot needs work, one extension step (one
   candidate proposal + extend-check, or one traceback) runs *functionally*
-  through the shared engine (:func:`~repro.mining.engine.advance_frame` /
-  :func:`~repro.mining.engine.check_candidate`) with a recording memory,
-  producing the step's exact operation list (memory requests, each carrying
-  the pipeline compute cycles preceding it).  Functional results are
-  byte-identical to the software engine — the invariant "sim counts ==
-  software counts" is enforced by tests.
+  through the shared :func:`~repro.mining.engine.slot_step` with recording
+  ``vertex``/``edge`` callbacks, producing the step's exact operation list
+  (memory requests, each carrying the pipeline compute cycles preceding
+  it).  Functional results are byte-identical to the software engine —
+  the invariant "sim counts == software counts" is enforced by tests.
 * **Timing phase.**  The recorded operations replay one event at a time
   through a global time-ordered event loop.  Because events are processed
   in nondecreasing timestamp order, contention on the PU issue port
@@ -43,7 +42,7 @@ from repro.locality.occurrence import occurrence_numbers
 from repro.memory.dram import DRAMModel
 from repro.memory.hierarchy import AccessLevel, build_hierarchy
 from repro.mining.apps.base import Application, MiningResult
-from repro.mining.engine import Frame, advance_frame, check_candidate
+from repro.mining.engine import Frame, slot_step
 
 from .config import GramerConfig
 from .frontend import dispatch_roots
@@ -192,13 +191,12 @@ class SimResult:
 
 
 class _RecordingMemory:
-    """MemoryModel that records requests with their preceding compute."""
+    """Records a step's requests, each with the compute preceding it."""
 
-    __slots__ = ("ops", "depth", "pre_cycles")
+    __slots__ = ("ops", "pre_cycles")
 
     def __init__(self) -> None:
         self.ops: list[tuple[int, int, int, int]] = []
-        self.depth = 0
         self.pre_cycles = 0
 
     def vertex(self, vid: int) -> None:
@@ -295,21 +293,18 @@ class GramerSimulator:
         recorder.pre_cycles = 0
         recorder.compute(cfg.issue_cycles)
         frame = slot.stack[-1]
-        recorder.depth = frame.size
-
-        candidate = advance_frame(graph, frame, recorder)
+        candidate, column = slot_step(
+            self._offsets, self._neighbors, frame, app.clique_only,
+            cfg.probe_mode == "scan", recorder.vertex, recorder.edge,
+        )
         if candidate is None:
             slot.stack.pop()
             recorder.compute(1)  # traceback: dequeue the ancestor record
         else:
             stats.candidates_checked += 1
             app.candidates_checked += 1
-            accepted, column = check_candidate(
-                graph, frame.vertices, frame.member_idx, candidate,
-                app.clique_only, recorder, probe=cfg.probe_mode,
-            )
             recorder.compute(cfg.check_cycles)
-            if accepted:
+            if column:
                 vertices = frame.vertices + (candidate,)
                 columns = frame.columns + (column,)
                 if app.filter(graph, vertices, columns):
@@ -332,7 +327,7 @@ class GramerSimulator:
                         # §V-C: every embedding the Scheduler receives
                         # re-records its slot, keeping busy slots visible
                         # to idle thieves.
-                        pu.stealing_buffer.push(slot.slot_id)
+                        pu.stealer.buffer.push(slot.slot_id)
 
         slot.pending.extend(recorder.finish())
 
@@ -412,6 +407,8 @@ class GramerSimulator:
         """Execute ``app`` to completion; returns stats + mining results."""
         self._reset()
         graph, cfg, stats = self.graph, self.config, self.stats
+        self._offsets = graph.offsets.tolist()
+        self._neighbors = graph.neighbors.tolist()
         app.prepare(graph)
         dispatch = dispatch_roots(
             (v for v in range(graph.num_vertices) if app.root_filter(graph, v)),
@@ -460,22 +457,18 @@ class GramerSimulator:
                     root, arrival = item
                     slot.time = max(slot.time, arrival)
                     slot.stack.append(Frame((root,), (0,)))
-                    slot.roots_started += 1
                     stats.roots_dispatched += 1
                     pu.busy_slots += 1
-                    pu.stealing_buffer.push(s)
+                    pu.stealer.buffer.push(s)
                     if ins is not None:
                         ins.root_dispatched(p, s, root, slot.time)
                 elif cfg.work_stealing and pu.busy_slots > 0:
                     stats.steal_attempts += 1
                     if ins is not None:
                         ins.steal_attempted(p, s, slot.time)
-                    stolen = pu.try_steal(slot)
-                    if stolen is not None:
-                        slot.stack.append(stolen)
+                    if pu.stealer.steal(s) >= 0:
                         stats.steals += 1
                         pu.busy_slots += 1
-                        pu.stealing_buffer.push(s)
                         if ins is not None:
                             ins.steal_succeeded(p, s, slot.time)
                     else:

@@ -8,10 +8,11 @@ breaks that chain:
 * **Functional pass — exact.**  The mining computation runs in *virtual
   step order*: a round-robin sweep over all slots where every busy slot
   executes one extension step per round, using the same root-dispatch
-  queues, the same stealing-buffer / LFSR steal discipline, and the same
+  queues, the same :class:`~repro.accel.scheduler.Stealer`, and the same
   ancestor-buffer depth check as the reference.  Mining state transitions
-  are the reference's own (the fused step is the fast engine's transcription
-  of ``advance_frame`` + ``check_candidate``), and every counted quantity
+  are the reference's own (every step is
+  :func:`~repro.mining.engine.slot_step`, timed through recorder
+  callbacks), and every counted quantity
   that is schedule-invariant — embedding counts, pattern sets,
   ``candidates_checked``, ``roots_dispatched`` — is therefore byte-identical
   to the reference engine.  ``AncestorBufferOverflowError`` is likewise
@@ -60,11 +61,11 @@ from repro.memory.dram import DRAMModel
 from repro.memory.hierarchy import build_hierarchy
 from repro.memory.policies import LocalityPreservedPolicy, LRUPolicy
 from repro.mining.apps.base import Application
-from repro.mining.engine import Frame
+from repro.mining.engine import Frame, slot_step
 
 from .config import GramerConfig
 from .frontend import dispatch_roots
-from .scheduler import StealingBuffer, steal_from_stack
+from .scheduler import Stealer
 from .sim import (
     AncestorBufferOverflowError,
     SimResult,
@@ -215,8 +216,10 @@ class TurboGramerSimulator:
         gap = [0] * G
         stacks: list[list[Frame]] = [[] for _ in range(G)]
         pu_busy = [0] * P
-        sbufs = [StealingBuffer(S) for _ in range(P)]
-        lfsr = [((p * 0x9E3779B9 + 0x1234567) & 0xFFFFFFFF) or 1 for p in range(P)]
+        stealers = [
+            Stealer(p, stacks[p * S:(p + 1) * S], random_steal) for p in range(P)
+        ]
+        sbufs = [stealer.buffer for stealer in stealers]
         pu_of = [g // S for g in range(G)]
         sid_of = [g % S for g in range(G)]
         # Partition demand (1 request/cycle each) is counted, not queued:
@@ -239,18 +242,39 @@ class TurboGramerSimulator:
         compute_cycles = 0
 
         # The low-priority stream: everything the batched timing pass needs
-        # about an access that may touch the cache/DRAM.  High accesses are
-        # accounted in bulk and never stored.
-        lo_kind: list[int] = []
-        lo_addr: list[int] = []
-        lo_rank: list[int] = []
-        lo_time: list[int] = []
-        lo_slot: list[int] = []
-        k_append = lo_kind.append
-        a_append = lo_addr.append
-        r_append = lo_rank.append
-        t_append = lo_time.append
-        g_append = lo_slot.append
+        # about an access that may touch the cache/DRAM, as (kind, address,
+        # rank, issue time, slot).  High accesses are accounted in bulk and
+        # never stored.
+        low: list[tuple[int, int, int, int, int]] = []
+        low_append = low.append
+
+        # The recorder callbacks time each access of the step in flight on
+        # slot g's virtual clock tg: high-priority accesses cost the
+        # scratchpad latency and are only counted, low-priority ones join
+        # the stream at their issue time and cost a nominal cache hit.
+        g = tg = 0
+
+        def t_vertex(member: int) -> None:
+            nonlocal tg, v_hi
+            rank = vrank[member]
+            part_count[member % nparts] += 1
+            if rank < v_cut:
+                v_hi += 1
+                tg += spm_lat
+            else:
+                low_append((0, member, rank, tg, g))
+                tg += hit_lat
+
+        def t_edge(index: int, src: int) -> None:
+            nonlocal tg, e_hi
+            rank = erank[index] if erank is not None else vrank[src]
+            part_count[(index // part_line) % nparts] += 1
+            if rank < e_cut:
+                e_hi += 1
+                tg += spm_lat
+            else:
+                low_append((1, index, rank, tg, g))
+                tg += hit_lat
 
         # -- functional pass: virtual step order ---------------------------
         # Round-robin over runnable slots; each busy slot runs exactly one
@@ -281,52 +305,18 @@ class TurboGramerSimulator:
                             sbufs[p].push(sid_of[g])
                         elif stealing and pu_busy[p] > 0:
                             steal_attempts += 1
-                            # Inline ProcessingUnit.try_steal (same
-                            # discipline and LFSR stream as the fast
-                            # engine, driven by rounds instead of the
-                            # 32-cycle retry clock).
-                            stolen = None
-                            vic_g = -1
-                            base_g = p * S
-                            sid = sid_of[g]
-                            if random_steal:
-                                x = lfsr[p]
-                                x ^= (x << 13) & 0xFFFFFFFF
-                                x ^= x >> 17
-                                x ^= (x << 5) & 0xFFFFFFFF
-                                lfsr[p] = x
-                                vic = x % S
-                                if vic != sid and stacks[base_g + vic]:
-                                    stolen = steal_from_stack(
-                                        stacks[base_g + vic]
-                                    )
-                                    vic_g = base_g + vic
-                            else:
-                                buf = sbufs[p]
-                                for _ in range(len(buf)):
-                                    vic = buf.pop()
-                                    if vic is None:
-                                        break
-                                    if vic == sid or not stacks[base_g + vic]:
-                                        continue
-                                    frame = steal_from_stack(
-                                        stacks[base_g + vic]
-                                    )
-                                    if frame is not None:
-                                        buf.push(vic)
-                                        stolen = frame
-                                        vic_g = base_g + vic
-                                        break
-                            if stolen is not None:
-                                stack.append(stolen)
+                            # The reference's steal discipline and LFSR
+                            # stream, driven by rounds instead of the
+                            # 32-cycle retry clock.
+                            vic = stealers[p].steal(sid_of[g])
+                            if vic >= 0:
                                 steals += 1
                                 pu_busy[p] += 1
-                                sbufs[p].push(sid)
                                 # The thief idled while parked: jump its
                                 # clock to the victim's (the reference
                                 # thief resumes at current global time)
                                 # and book the jump as an idle gap.
-                                tv = vt[vic_g]
+                                tv = vt[p * S + vic]
                                 if tv > tg:
                                     gap[g] += tv - tg
                                     tg = tv
@@ -339,181 +329,26 @@ class TurboGramerSimulator:
                             # steals are intra-PU) — retire it.
                             continue
 
-                    # -- one fused functional step (the fast engine's
-                    # transcription of _record_step) ----------------------
-                    frame = stack[-1]
-                    pre = issue_cycles
-                    vertices = frame.vertices
-                    m_idx = frame.member_idx
-                    m_lim = frame.member_limit
-                    candidate = None
-                    while m_idx < m_lim:
-                        mb = frame.member_base
-                        if mb < 0:
-                            member = vertices[m_idx]
-                            rank = vrank[member]
-                            part_count[member % nparts] += 1
-                            if rank < v_cut:
-                                v_hi += 1
-                                tg += pre + spm_lat
-                            else:
-                                tg += pre
-                                k_append(0)
-                                a_append(member)
-                                r_append(rank)
-                                t_append(tg)
-                                g_append(g)
-                                tg += hit_lat
-                            pre = 0
-                            mb = offsets[member]
-                            frame.member_base = mb
-                            frame.member_degree = offsets[member + 1] - mb
-                        bound = frame.member_degree
-                        cl = frame.cursor_limit
-                        if cl is not None and cl < bound:
-                            bound = cl
-                        ec = frame.edge_cursor
-                        if ec < bound:
-                            index = mb + ec
-                            frame.edge_cursor = ec + 1
-                            rank = (
-                                erank[index]
-                                if erank is not None
-                                else vrank[vertices[m_idx]]
-                            )
-                            part_count[(index // part_line) % nparts] += 1
-                            if rank < e_cut:
-                                e_hi += 1
-                                tg += pre + spm_lat
-                            else:
-                                tg += pre
-                                k_append(1)
-                                a_append(index)
-                                r_append(rank)
-                                t_append(tg)
-                                g_append(g)
-                                tg += hit_lat
-                            pre = 0
-                            candidate = neighbors[index]
-                            break
-                        m_idx += 1
-                        frame.member_idx = m_idx
-                        frame.edge_cursor = 0
-                        frame.member_base = -1
-                        frame.cursor_limit = None
-
+                    # -- one functional step: the reference's slot_step,
+                    # timed by the recorder callbacks above ----------------
+                    tg += issue_cycles  # the issue compute precedes any op
+                    candidate, column = slot_step(
+                        offsets, neighbors, stack[-1], clique_only,
+                        scan_probe, t_vertex, t_edge,
+                    )
                     if candidate is None:
                         stack.pop()
-                        tg += pre + 1  # traceback: dequeue the ancestor record
+                        tg += 1  # traceback: dequeue the ancestor record
                         compute_cycles += issue_cycles + 1
                         if not stack:
                             pu_busy[p] -= 1
                     else:
                         candidates_checked += 1
-                        midx = frame.member_idx
-                        # id_checks_pass (pure ID comparisons)
-                        if candidate in vertices or candidate < vertices[0]:
-                            accepted = False
-                        else:
-                            accepted = True
-                            nverts = len(vertices)
-                            i = midx + 1
-                            while i < nverts:
-                                if candidate < vertices[i]:
-                                    accepted = False
-                                    break
-                                i += 1
-                        column = 0
-                        if accepted:
-                            # check_candidate connectivity loop
-                            column = 1 << midx
-                            for i, member in enumerate(vertices):
-                                if i == midx:
-                                    continue
-                                rank = vrank[member]
-                                part_count[member % nparts] += 1
-                                if rank < v_cut:
-                                    v_hi += 1
-                                    tg += pre + spm_lat
-                                else:
-                                    tg += pre
-                                    k_append(0)
-                                    a_append(member)
-                                    r_append(rank)
-                                    t_append(tg)
-                                    g_append(g)
-                                    tg += hit_lat
-                                pre = 0
-                                lo = offsets[member]
-                                hi = offsets[member + 1]
-                                adjacent = False
-                                if scan_probe:
-                                    for index in range(lo, hi):
-                                        rank = (
-                                            erank[index]
-                                            if erank is not None
-                                            else vrank[member]
-                                        )
-                                        part_count[
-                                            (index // part_line) % nparts
-                                        ] += 1
-                                        if rank < e_cut:
-                                            e_hi += 1
-                                            tg += spm_lat
-                                        else:
-                                            k_append(1)
-                                            a_append(index)
-                                            r_append(rank)
-                                            t_append(tg)
-                                            g_append(g)
-                                            tg += hit_lat
-                                        value = neighbors[index]
-                                        if value == candidate:
-                                            adjacent = True
-                                            break
-                                        if value > candidate:
-                                            break
-                                else:
-                                    while lo < hi:
-                                        mid = (lo + hi) // 2
-                                        rank = (
-                                            erank[mid]
-                                            if erank is not None
-                                            else vrank[member]
-                                        )
-                                        part_count[
-                                            (mid // part_line) % nparts
-                                        ] += 1
-                                        if rank < e_cut:
-                                            e_hi += 1
-                                            tg += spm_lat
-                                        else:
-                                            k_append(1)
-                                            a_append(mid)
-                                            r_append(rank)
-                                            t_append(tg)
-                                            g_append(g)
-                                            tg += hit_lat
-                                        value = neighbors[mid]
-                                        if value == candidate:
-                                            adjacent = True
-                                            break
-                                        if value < candidate:
-                                            lo = mid + 1
-                                        else:
-                                            hi = mid
-                                if adjacent:
-                                    if i < midx:
-                                        accepted = False
-                                        break
-                                    column |= 1 << i
-                                elif clique_only:
-                                    accepted = False
-                                    break
-                        pre += check_cycles
+                        pre = check_cycles
                         compute_cycles += issue_cycles + check_cycles
-                        if accepted:
-                            new_vertices = vertices + (candidate,)
+                        if column:
+                            frame = stack[-1]
+                            new_vertices = frame.vertices + (candidate,)
                             new_columns = frame.columns + (column,)
                             if app_filter(graph, new_vertices, new_columns):
                                 app_process(graph, new_vertices, new_columns)
@@ -570,15 +405,11 @@ class TurboGramerSimulator:
         miss_t: list[int] = []
         miss_side: list[int] = []  # 0 = vertex, 1 = edge
         ch_count = [0] * nch
-        n_low = len(lo_kind)
+        n_low = len(low)
         if n_low:
-            times = np.asarray(lo_time, dtype=np.int64)
-            order = np.argsort(times, kind="stable")
-            rk = np.asarray(lo_kind, dtype=np.int64)[order].tolist()
-            ra = np.asarray(lo_addr, dtype=np.int64)[order].tolist()
-            rr = np.asarray(lo_rank, dtype=np.int64)[order].tolist()
-            rt = times[order].tolist()
-            rg = np.asarray(lo_slot, dtype=np.int64)[order].tolist()
+            records = np.array(low, dtype=np.int64)
+            records = records[np.argsort(records[:, 3], kind="stable")]
+            rk, ra, rr, rt, rg = records.T.tolist()
 
             v_tags = [-1] * (v_sets * ways)
             v_ranks = [0] * (v_sets * ways)

@@ -46,7 +46,6 @@ class CSRGraph:
         "labels",
         "_num_edges",
         "_content_digest",
-        "_adjacency_lists",
     )
 
     def __init__(
@@ -107,7 +106,6 @@ class CSRGraph:
                 )
             self.labels = np.asarray(labels, dtype=np.int64).copy()
         self._content_digest: str | None = None
-        self._adjacency_lists: tuple[list[int], list[int]] | None = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -169,7 +167,6 @@ class CSRGraph:
                 raise ValueError(f"labels has length {len(labels)}, expected {n}")
             graph.labels = np.asarray(labels, dtype=np.int64)
         graph._content_digest = None
-        graph._adjacency_lists = None
         return graph
 
     # -- basic queries ---------------------------------------------------------
@@ -202,22 +199,6 @@ class CSRGraph:
             digest = hasher.hexdigest()
             self._content_digest = digest
         return digest
-
-    def adjacency_lists(self) -> tuple[list[int], list[int]]:
-        """``(offsets, neighbors)`` as Python lists, built once per graph.
-
-        Indexing a Python list is several times cheaper than indexing a
-        numpy array for a scalar, and the values are identical.  The step
-        API of :mod:`repro.mining.engine` reads the CSR through this view on
-        every call, so it is memoized like :meth:`content_digest`.
-        """
-        lists: tuple[list[int], list[int]] | None = getattr(
-            self, "_adjacency_lists", None
-        )
-        if lists is None:
-            lists = (self.offsets.tolist(), self.neighbors.tolist())
-            self._adjacency_lists = lists
-        return lists
 
     def degree(self, v: int) -> int:
         """Degree of vertex ``v``."""

@@ -27,6 +27,7 @@ __all__ = [
     "LocalityPreservedPolicy",
     "FIFOPolicy",
     "RandomPolicy",
+    "xorshift32",
 ]
 
 
@@ -102,10 +103,18 @@ class RandomPolicy:
         self._state = seed * 2654435761 % 2**32 or 1
 
     def victim(self, lines: Sequence[LineState], clock: int) -> int:
-        # xorshift32: cheap, deterministic, and stateless per call pattern.
-        x = self._state
-        x ^= (x << 13) & 0xFFFFFFFF
-        x ^= x >> 17
-        x ^= (x << 5) & 0xFFFFFFFF
-        self._state = x
+        self._state = x = xorshift32(self._state)
         return x % len(lines)
+
+
+def xorshift32(x: int) -> int:
+    """One step of Marsaglia's 13/17/5 xorshift over a nonzero 32-bit state.
+
+    Cheap and deterministic: the random eviction ablation and the LFSR
+    victim selector of the PU scheduler (``repro.accel.scheduler``) draw
+    from it.
+    """
+    x ^= (x << 13) & 0xFFFFFFFF
+    x ^= x >> 17
+    x ^= (x << 5) & 0xFFFFFFFF
+    return x

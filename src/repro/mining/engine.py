@@ -2,17 +2,19 @@
 
 This module holds the single extend-check kernel, :func:`_extend_check`:
 the ID checks plus the per-member connectivity probes that decide whether
-a candidate extends an embedding.  The drivers and the step API both use
-it:
+a candidate extends an embedding.  Every vehicle reaches it one of two
+ways:
 
 * the DFS and BFS drivers below (the software reference, the CPU
   baselines and the memory-trace collectors of ``repro.locality.trace``)
   stream candidates in tight loops over list views of the CSR arrays and
   call the kernel once per candidate;
-* the step API (:func:`advance_frame` / :func:`check_candidate`) serves
-  the GRAMER reference simulator (``repro.accel.sim``), which steps
-  :class:`Frame` objects one candidate at a time so that slot-level
-  pipelining and work stealing can interleave them.
+* :func:`slot_step` is one GRAMER slot step (§V-B): it advances a
+  possibly split :class:`Frame` to its next candidate and runs the kernel
+  on it.  All three simulators (``repro.accel.sim``, ``.fastsim``,
+  ``.turbosim``) step their slots through it, so slot-level pipelining and
+  work stealing can interleave frames; each engine keeps only its own
+  timing.
 
 Sharing one kernel guarantees the invariant the whole evaluation rests on:
 all vehicles enumerate the identical embedding set and emit the identical
@@ -45,8 +47,7 @@ __all__ = [
     "MemoryModel",
     "NullMemory",
     "Frame",
-    "advance_frame",
-    "check_candidate",
+    "slot_step",
     "run_dfs",
     "run_bfs",
     "FrontierOverflowError",
@@ -239,59 +240,56 @@ def _extend_check(
     return column
 
 
-def advance_frame(graph: "CSRGraph", frame: Frame, mem: MemoryModel) -> int | None:
-    """Produce the next raw candidate of ``frame`` (or ``None`` if done).
+def slot_step(
+    offsets: list[int],
+    neighbors: list[int],
+    frame: Frame,
+    clique_only: bool,
+    scan: bool,
+    vertex: Callable[[int], None],
+    edge: Callable[[int, int], None],
+) -> tuple[int | None, int]:
+    """One GRAMER slot step: advance ``frame`` and extend-check its candidate.
 
-    Advances the member/cursor state, charging the member vertex access on
-    activation and one edge access per adjacency slot read.  One step of
-    the candidate streaming :func:`run_dfs` does inline; the reference
-    simulator steps frames with it so work stealing can split them.
+    Returns ``(candidate, column)``: the frame's next raw candidate and its
+    :func:`_extend_check` column (0 when rejected), or ``(None, 0)`` once
+    the frame's share — bounded by ``member_limit`` and ``cursor_limit``
+    when work stealing split it — is exhausted.  Activating a member
+    charges its vertex access and every adjacency slot read one edge
+    access, then the check charges its probes; ``scan`` selects the probe
+    shape.  Only memory accesses are charged: the simulators that step
+    frames this way own their compute and timing.
     """
-    offsets, neighbors = graph.adjacency_lists()
-    while frame.member_idx < frame.member_limit:
-        if frame.member_base < 0:
-            member = frame.vertices[frame.member_idx]
-            mem.vertex(member)
-            frame.member_base = offsets[member]
-            frame.member_degree = offsets[member + 1] - frame.member_base
+    vertices = frame.vertices
+    m_idx = frame.member_idx
+    while m_idx < frame.member_limit:
+        base = frame.member_base
+        if base < 0:
+            member = vertices[m_idx]
+            vertex(member)
+            base = offsets[member]
+            frame.member_base = base
+            frame.member_degree = offsets[member + 1] - base
         bound = frame.member_degree
-        if frame.cursor_limit is not None and frame.cursor_limit < bound:
-            bound = frame.cursor_limit
-        if frame.edge_cursor < bound:
-            index = frame.member_base + frame.edge_cursor
-            frame.edge_cursor += 1
-            mem.edge(index, frame.vertices[frame.member_idx])
-            return neighbors[index]
-        frame.member_idx += 1
+        cursor_limit = frame.cursor_limit
+        if cursor_limit is not None and cursor_limit < bound:
+            bound = cursor_limit
+        cursor = frame.edge_cursor
+        if cursor < bound:
+            index = base + cursor
+            frame.edge_cursor = cursor + 1
+            edge(index, vertices[m_idx])
+            candidate = neighbors[index]
+            return candidate, _extend_check(
+                offsets, neighbors, vertices, m_idx, candidate, clique_only,
+                vertex, edge, scan,
+            )
+        m_idx += 1
+        frame.member_idx = m_idx
         frame.edge_cursor = 0
         frame.member_base = -1
         frame.cursor_limit = None
-    return None
-
-
-def check_candidate(
-    graph: "CSRGraph",
-    vertices: tuple[int, ...],
-    member_idx: int,
-    candidate: int,
-    clique_only: bool,
-    mem: MemoryModel,
-    probe: str = "binary",
-) -> tuple[bool, int]:
-    """Run the full extend-check on one candidate.
-
-    Returns ``(accepted, column)`` where ``column`` is the adjacency bitmask
-    of ``candidate`` over the embedding members (0 when rejected).  A thin
-    wrapper over the kernel :func:`_extend_check`, which documents the
-    rejection rules; ``probe`` (``"binary"`` or ``"scan"``) selects the
-    memory-access shape of each connectivity check.
-    """
-    offsets, neighbors = graph.adjacency_lists()
-    column = _extend_check(
-        offsets, neighbors, vertices, member_idx, candidate, clique_only,
-        mem.vertex, mem.edge, probe == "scan",
-    )
-    return column != 0, column
+    return None, 0
 
 
 def run_dfs(
@@ -306,16 +304,16 @@ def run_dfs(
     application's maximum size before the next root starts; intermediate
     embeddings live only on the stack, never in off-chip storage.
 
-    Candidate streaming is :func:`advance_frame`'s, inlined: a frame
-    records its member and cursor only when it yields to a child, and the
+    Candidate streaming is :func:`slot_step`'s, inlined: a frame records
+    its member and cursor only when it yields to a child, and the
     child-first order is the access stream.  ``mem.depth`` is set whenever
     a frame becomes the top of the stack.
     """
     mem = _charged(mem)
     vertex = mem.vertex if mem is not None else None
     edge = mem.edge if mem is not None else None
-    # Per-run lists, not graph.adjacency_lists(): the graph store keeps
-    # opened graphs alive, and a memo would pin these lists with them.
+    # Per-run lists, not a memo on the graph: the graph store keeps opened
+    # graphs alive, and a memo would pin these lists with them.
     offsets = graph.offsets.tolist()
     neighbors = graph.neighbors.tolist()
     app.prepare(graph)

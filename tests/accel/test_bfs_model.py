@@ -4,7 +4,7 @@ import pytest
 
 from repro.accel.bfs_model import estimate_bfs_mode
 from repro.accel.config import GramerConfig
-from repro.accel.sim import GramerSimulator
+from repro.accel.sim import make_simulator
 from repro.graph.generators import powerlaw_cluster
 from repro.mining.apps import CliqueFinding, MotifCounting
 
@@ -12,7 +12,7 @@ from repro.mining.apps import CliqueFinding, MotifCounting
 @pytest.fixture(scope="module")
 def result():
     graph = powerlaw_cluster(300, 4, 0.5, seed=41)
-    return GramerSimulator(graph, GramerConfig(onchip_entries=512)).run(
+    return make_simulator(graph, GramerConfig(onchip_entries=512)).run(
         MotifCounting(4)
     )
 
@@ -47,7 +47,7 @@ class TestEstimate:
 
     def test_more_intermediates_more_slowdown(self):
         graph = powerlaw_cluster(300, 4, 0.5, seed=41)
-        sim = GramerSimulator(graph, GramerConfig(onchip_entries=512))
+        sim = make_simulator(graph, GramerConfig(onchip_entries=512))
         shallow = estimate_bfs_mode(sim.run(CliqueFinding(3)))
         deep = estimate_bfs_mode(sim.run(MotifCounting(4)))
         assert deep.intermediate_bytes > shallow.intermediate_bytes

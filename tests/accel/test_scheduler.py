@@ -1,13 +1,14 @@
-"""Slot scheduling structures: stealing buffer and frame splitting."""
+"""Slot scheduling structures: stealing buffer, stealer, frame splitting."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.generators import clique, star
-from repro.mining.engine import Frame, NullMemory, advance_frame, check_candidate
+from repro.mining.engine import Frame, NullMemory, slot_step
 from repro.accel.scheduler import (
     SlotContext,
+    Stealer,
     StealingBuffer,
     split_frame,
     steal_from_stack,
@@ -49,21 +50,26 @@ class TestSlotContext:
         assert slot.depth == 1
 
 
+def step(graph, frame, clique_only=False):
+    """One uncharged slot step of ``frame``: ``(candidate, column)``."""
+    mem = NullMemory()
+    return slot_step(
+        graph.offsets.tolist(), graph.neighbors.tolist(), frame, clique_only,
+        False, mem.vertex, mem.edge,
+    )
+
+
 def drain(graph, frame, clique_only=False):
     """Fully explore a frame (and its descendants), returning found sets."""
-    mem = NullMemory()
     found = []
     stack = [frame]
     while stack:
         top = stack[-1]
-        candidate = advance_frame(graph, top, mem)
+        candidate, column = step(graph, top, clique_only)
         if candidate is None:
             stack.pop()
             continue
-        ok, column = check_candidate(
-            graph, top.vertices, top.member_idx, candidate, clique_only, mem
-        )
-        if ok:
+        if column:
             vertices = top.vertices + (candidate,)
             found.append(vertices)
             if len(vertices) < 3:
@@ -74,14 +80,12 @@ def drain(graph, frame, clique_only=False):
 class TestSplitFrame:
     def test_cursor_split_partitions_work_exactly(self):
         g = star(6)
-        mem = NullMemory()
         base = drain(g, Frame((0,), (0,)))
 
         victim = Frame((0,), (0,))
-        first = advance_frame(g, victim, mem)  # consume one candidate
-        ok, column = check_candidate(g, (0,), 0, first, False, mem)
+        first, column = step(g, victim)  # consume one candidate
         consumed = []
-        if ok:
+        if column:
             consumed.append((0, first))
             consumed.extend(drain(g, Frame((0, first), (0, column))))
         thief = split_frame(victim)
@@ -92,15 +96,14 @@ class TestSplitFrame:
     def test_exhausted_frame_not_splittable(self):
         g = clique(3)
         frame = Frame((0,), (0,))
-        mem = NullMemory()
-        while advance_frame(g, frame, mem) is not None:
+        while step(g, frame)[0] is not None:
             pass
         assert split_frame(frame) is None
 
     def test_single_candidate_not_splittable(self):
         g = star(1)  # vertex 0 has exactly one neighbor
         frame = Frame((0,), (0,))
-        advance_frame(g, frame, NullMemory())  # consumes the only candidate
+        step(g, frame)  # consumes the only candidate
         assert split_frame(frame) is None
 
     def test_member_split_prefers_members(self):
@@ -119,17 +122,13 @@ class TestSplitFrame:
             return
         reference = drain(g, Frame((0,), (0,)))
         victim = Frame((0,), (0,))
-        mem = NullMemory()
         prefix = []
         # Advance a few steps first so the split happens mid-stream.
         for _ in range(min(steps, 1)):
-            c = advance_frame(g, victim, mem)
+            c, column = step(g, victim)
             if c is None:
                 return
-            ok, column = check_candidate(
-                g, victim.vertices, victim.member_idx, c, False, mem
-            )
-            if ok:
+            if column:
                 prefix.append(victim.vertices + (c,))
                 child = Frame(victim.vertices + (c,), victim.columns + (column,))
                 prefix.extend(drain(g, child))
@@ -145,7 +144,7 @@ class TestStealFromStack:
         g = clique(5)
         deep = Frame((0, 1, 2), (0, 0b1, 0b11))
         shallow = Frame((0,), (0,))
-        advance_frame(g, shallow, NullMemory())  # make cursor split possible
+        step(g, shallow)  # make cursor split possible
         stack = [shallow, deep]
         thief = steal_from_stack(stack)
         assert thief is not None
@@ -153,3 +152,84 @@ class TestStealFromStack:
 
     def test_empty_stack(self):
         assert steal_from_stack([]) is None
+
+
+def splittable():
+    """A frame with two unstarted members: always splittable."""
+    return Frame((0, 1), (0, 0b1))
+
+
+class TestStealer:
+    #: The first 8 LFSR victims of PUs 0-3 over 16 slots, from the seeds
+    #: (p * 0x9E3779B9 + 0x1234567) & 0xFFFFFFFF or 1.
+    VICTIMS = {
+        0: [0, 4, 9, 4, 6, 1, 13, 12],
+        1: [15, 4, 7, 15, 11, 8, 9, 12],
+        2: [13, 8, 2, 12, 4, 6, 2, 0],
+        3: [15, 1, 1, 9, 0, 11, 7, 9],
+    }
+
+    @pytest.mark.parametrize("pu", sorted(VICTIMS))
+    def test_lfsr_victims_pinned(self, pu):
+        stealer = Stealer(pu, [[] for _ in range(16)], random=True)
+        drawn = []
+        for _ in range(8):
+            assert stealer.steal(0) == -1  # every slot is idle
+            drawn.append(stealer.lfsr % 16)
+        assert drawn == self.VICTIMS[pu]
+
+    def test_random_probes_exactly_one_slot(self):
+        thief = 4
+        stacks = [[] for _ in range(16)]
+        stealer = Stealer(0, stacks, random=True)
+        for victim in self.VICTIMS[0]:
+            for slot, stack in enumerate(stacks):
+                stack[:] = [] if slot == thief else [splittable()]
+            got = stealer.steal(thief)
+            split = [
+                slot for slot, stack in enumerate(stacks)
+                if slot != thief and stack[0].member_limit != 2
+            ]
+            if victim == thief:
+                assert got == -1 and split == [] and stacks[thief] == []
+            else:
+                assert got == victim and split == [victim]
+                assert len(stacks[thief]) == 1
+
+    def test_random_skips_thief_and_idle_slots(self):
+        stacks = [[] for _ in range(16)]
+        stacks[4] = [splittable()]
+        # PU 0 draws slot 0 first: the thief itself, although busy.
+        stacks[0] = [splittable()]
+        stealer = Stealer(0, stacks, random=True)
+        assert stealer.steal(0) == -1
+        assert len(stacks[0]) == 1
+        # Then slot 4, busy: stolen.
+        assert stealer.steal(1) == 4
+        assert stacks[1][0].vertices == (0, 1)
+        # Then slot 9, idle: nothing, although slots 0 and 4 are busy.
+        assert stealer.steal(2) == -1
+        assert stacks[2] == []
+
+    def test_buffer_skips_stale_and_self_and_repushes_victim(self):
+        stacks = [[] for _ in range(4)]
+        stacks[0] = [splittable()]  # the thief's own (busy) stack
+        stacks[3] = [splittable()]
+        stealer = Stealer(0, stacks, random=False)
+        thief = 0
+        for slot in (2, 0, 3, 1):  # 2 went idle: a stale ID
+            stealer.buffer.push(slot)
+        assert stealer.steal(thief) == 3
+        assert len(stacks[thief]) == 2  # the stolen frame tops the stack
+        # 2 and 0 were popped and dropped; 1 stays; the victim is
+        # re-pushed, then the thief is recorded busy.
+        assert [stealer.buffer.pop() for _ in range(3)] == [1, 3, 0]
+        assert stealer.lfsr == Stealer(0, [[]], random=False).lfsr
+
+    def test_buffer_exhausted_steals_nothing(self):
+        stacks = [[], [Frame((0,), (0,))]]  # busy but unsplittable
+        stealer = Stealer(0, stacks, random=False)
+        stealer.buffer.push(1)
+        assert stealer.steal(0) == -1
+        assert len(stealer.buffer) == 0
+        assert stacks[0] == []

@@ -6,7 +6,9 @@ which index the numpy CSR arrays per access and binary-search (or scan)
 each member's slice in :func:`_search_adjacency`.
 :mod:`repro.mining.engine` must agree with them on every mining result,
 every ``candidates_checked`` count, every frontier-observer call and every
-``(depth, kind, id, src)`` memory access.
+``(depth, kind, id, src)`` memory access.  Its ``slot_step`` must step
+every frame, whole or split by work stealing, like one
+:func:`advance_frame` + :func:`check_candidate` pair.
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ the CSR arrays and accepts them in one kernel, ``_extend_check``;
 small graphs, for every application shape, both must give the same
 mining result, the same ``candidates_checked`` (also when a frontier
 overflows), the same frontier-observer calls and the same
-``(depth, kind, id, src)`` memory-access stream.
+``(depth, kind, id, src)`` memory-access stream.  The simulators' step,
+``slot_step``, must likewise step whole and work-stealing-split frames
+like the oracle's ``advance_frame`` + ``check_candidate``.
 """
 
 from __future__ import annotations
@@ -171,6 +173,55 @@ def test_uncharged_runs_match_charged(graph, make_app):
                 assert app.candidates_checked == charged["candidates"]
 
 
+def _step_trace(graph, frame, clique_only, probe, step, first=None):
+    """Step ``frame`` to exhaustion: the (candidate, column) verdicts, the
+    frame's final cursor state and the memory-access stream.
+
+    ``step(graph, frame, clique_only, probe, mem)`` returns one step's
+    ``(candidate, column)``; ``first`` runs on the frame after the first
+    candidate, when work stealing could first split it.
+    """
+    mem = RecordingMemory()
+    mem.depth = frame.size
+    trace = []
+    while True:
+        candidate, column = step(graph, frame, clique_only, probe, mem)
+        if candidate is None:
+            break
+        if first is not None:
+            first(frame)
+            first = None
+        trace.append((candidate, column))
+    trace.append((frame.member_idx, frame.edge_cursor, frame.member_base))
+    return trace, mem.events
+
+
+def _engine_step(graph, frame, clique_only, probe, mem):
+    return engine.slot_step(
+        graph.offsets.tolist(), graph.neighbors.tolist(), frame, clique_only,
+        probe == "scan", mem.vertex, mem.edge,
+    )
+
+
+def _oracle_step(graph, frame, clique_only, probe, mem):
+    candidate = oracle.advance_frame(graph, frame, mem)
+    if candidate is None:
+        return None, 0
+    _, column = oracle.check_candidate(
+        graph, frame.vertices, frame.member_idx, candidate, clique_only, mem,
+        probe=probe,
+    )
+    return candidate, column
+
+
+def _frame(vertices, member_idx=0, member_limit=None):
+    frame = Frame(vertices, (0,) * len(vertices))
+    frame.member_idx = member_idx
+    if member_limit is not None:
+        frame.member_limit = member_limit
+    return frame
+
+
 @given(
     graphs(),
     st.data(),
@@ -179,6 +230,8 @@ def test_uncharged_runs_match_charged(graph, make_app):
 )
 @SETTINGS
 def test_check_candidate_matches_oracle(graph, data, clique_only, probe):
+    """``slot_step`` extend-checks every candidate of a member like the
+    oracle's ``advance_frame`` + ``check_candidate``, in both probe modes."""
     n = graph.num_vertices
     vertices = tuple(
         data.draw(
@@ -186,23 +239,17 @@ def test_check_candidate_matches_oracle(graph, data, clique_only, probe):
         )
     )
     member_idx = data.draw(st.integers(0, len(vertices) - 1))
-    candidate = data.draw(st.integers(0, n - 1))
-    calls = []
-    for check in (engine.check_candidate, oracle.check_candidate):
-        mem = RecordingMemory()
-        mem.depth = len(vertices)
-        verdict = check(
-            graph, vertices, member_idx, candidate, clique_only, mem,
-            probe=probe,
-        )
-        calls.append((verdict, mem.events))
-    assert calls[0] == calls[1]
+    assert _step_trace(
+        graph, _frame(vertices, member_idx), clique_only, probe, _engine_step
+    ) == _step_trace(
+        graph, _frame(vertices, member_idx), clique_only, probe, _oracle_step
+    )
 
 
-@given(graphs(), st.data(), st.booleans())
+@given(graphs(), st.data(), st.booleans(), st.sampled_from(["binary", "scan"]))
 @SETTINGS
-def test_split_frames_step_like_oracle(graph, data, clique_only):
-    """``advance_frame`` honours work-stealing limits like the oracle."""
+def test_split_frames_step_like_oracle(graph, data, clique_only, probe):
+    """``slot_step`` honours work-stealing limits like the oracle."""
     n = graph.num_vertices
     vertices = tuple(
         data.draw(
@@ -211,26 +258,15 @@ def test_split_frames_step_like_oracle(graph, data, clique_only):
     )
     member_limit = data.draw(st.integers(0, len(vertices)))
     cursor_limit = data.draw(st.none() | st.integers(0, 4))
-    steps = []
-    for advance, check in (
-        (engine.advance_frame, engine.check_candidate),
-        (oracle.advance_frame, oracle.check_candidate),
-    ):
-        frame = Frame(vertices, (0,) * len(vertices))
-        frame.member_limit = member_limit
-        mem = RecordingMemory()
-        trace = []
-        first = True
-        while (candidate := advance(graph, frame, mem)) is not None:
-            if first:
-                frame.cursor_limit = cursor_limit
-                first = False
-            trace.append(
-                (candidate, check(
-                    graph, vertices, frame.member_idx, candidate,
-                    clique_only, mem,
-                ))
-            )
-        trace.append((frame.member_idx, frame.edge_cursor, frame.member_base))
-        steps.append((trace, mem.events))
+
+    def split(frame):
+        frame.cursor_limit = cursor_limit
+
+    steps = [
+        _step_trace(
+            graph, _frame(vertices, member_limit=member_limit), clique_only,
+            probe, step, first=split,
+        )
+        for step in (_engine_step, _oracle_step)
+    ]
     assert steps[0] == steps[1]

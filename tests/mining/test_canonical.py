@@ -12,7 +12,7 @@ from repro.mining.canonical import (
     id_checks_pass,
     is_canonical_embedding,
 )
-from repro.mining.engine import NullMemory, check_candidate
+from repro.mining.engine import Frame, NullMemory, slot_step
 
 from ..conftest import small_graphs
 
@@ -115,19 +115,24 @@ class TestExactlyOnceEnumeration:
     def _enumerate(self, graph, k):
         """Enumerate via the engine's incremental rule; returns list of sets."""
         mem = NullMemory()
+        offsets, neighbors = graph.offsets.tolist(), graph.neighbors.tolist()
         found = []
 
         def extend(vertices):
             if len(vertices) == k:
                 found.append(frozenset(vertices))
                 return
-            for m, member in enumerate(vertices):
-                for u in graph.neighbors_of(member).tolist():
-                    accepted, _ = check_candidate(
-                        graph, vertices, m, u, False, mem
-                    )
-                    if accepted:
-                        extend(vertices + (u,))
+            # One slot step per (member, neighbour) pair, members in order.
+            frame = Frame(vertices, (0,) * len(vertices))
+            while True:
+                u, column = slot_step(
+                    offsets, neighbors, frame, False, False,
+                    mem.vertex, mem.edge,
+                )
+                if u is None:
+                    return
+                if column:
+                    extend(vertices + (u,))
 
         for v in range(graph.num_vertices):
             extend((v,))

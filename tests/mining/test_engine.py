@@ -13,13 +13,33 @@ from repro.mining.engine import (
     Frame,
     FrontierOverflowError,
     NullMemory,
-    advance_frame,
     run_bfs,
     run_dfs,
+    slot_step,
 )
 
 from ..conftest import small_graphs
 from .test_canonical import brute_force_connected_subsets
+
+
+def steps(graph, frame, probe="binary"):
+    """Step ``frame`` to exhaustion: every ``(candidate, column)`` verdict."""
+    mem = NullMemory()
+    offsets, neighbors = graph.offsets.tolist(), graph.neighbors.tolist()
+    produced = []
+    while True:
+        candidate, column = slot_step(
+            offsets, neighbors, frame, False, probe == "scan",
+            mem.vertex, mem.edge,
+        )
+        if candidate is None:
+            return produced
+        produced.append((candidate, column))
+
+
+def candidates(graph, frame):
+    """The raw candidates ``frame`` streams until exhausted."""
+    return [candidate for candidate, _ in steps(graph, frame)]
 
 
 def to_networkx(graph):
@@ -145,20 +165,14 @@ class TestMemoryEvents:
 
 class TestProbeModes:
     def test_scan_and_binary_agree(self, pl_graph):
-        from repro.mining.engine import check_candidate
-
-        mem = NullMemory()
-        for m, u in ((0, 5), (0, 50), (1, 7)):
-            vertices = (2, 40) if m == 1 else (2,)
-            binary = check_candidate(
-                pl_graph, vertices, m if m < len(vertices) else 0, u,
-                False, mem, probe="binary",
-            )
-            scan = check_candidate(
-                pl_graph, vertices, m if m < len(vertices) else 0, u,
-                False, mem, probe="scan",
-            )
-            assert binary == scan
+        for vertices, member in (((2,), 0), ((2, 40), 1)):
+            verdicts = []
+            for probe in ("binary", "scan"):
+                frame = Frame(vertices, (0,) * len(vertices))
+                frame.member_idx = member
+                verdicts.append(steps(pl_graph, frame, probe))
+            assert verdicts[0]  # the member has neighbours to check
+            assert verdicts[0] == verdicts[1]
 
     def test_scan_mode_on_simulator(self, pl_graph):
         from repro.accel import GramerConfig, GramerSimulator
@@ -192,36 +206,25 @@ class TestFrame:
     def test_advance_streams_sorted_adjacency(self):
         g = star(4)
         frame = Frame((0,), (0,))
-        mem = NullMemory()
-        produced = []
-        while True:
-            candidate = advance_frame(g, frame, mem)
-            if candidate is None:
-                break
-            produced.append(candidate)
-        assert produced == [1, 2, 3, 4]
+        assert candidates(g, frame) == [1, 2, 3, 4]
         assert frame.exhausted()
 
     def test_member_limit_respected(self):
         g = clique(4)
         frame = Frame((0, 1), (0, 0b1))
         frame.member_limit = 1  # only member 0 may be scanned
-        mem = NullMemory()
-        produced = []
-        while (c := advance_frame(g, frame, mem)) is not None:
-            produced.append(c)
-        assert produced == [1, 2, 3]  # vertex 0's neighbors only
+        assert candidates(g, frame) == [1, 2, 3]  # vertex 0's neighbors only
 
     def test_cursor_limit_respected(self):
         g = star(5)
         frame = Frame((0,), (0,))
         mem = NullMemory()
-        advance_frame(g, frame, mem)  # loads member, cursor=1
+        slot_step(
+            g.offsets.tolist(), g.neighbors.tolist(), frame, False, False,
+            mem.vertex, mem.edge,
+        )  # loads member, cursor=1
         frame.cursor_limit = 3
-        produced = []
-        while (c := advance_frame(g, frame, mem)) is not None:
-            produced.append(c)
-        assert produced == [2, 3]  # cursor 1 and 2 only
+        assert candidates(g, frame) == [2, 3]  # cursor 1 and 2 only
 
     def test_roots_argument_restricts(self):
         g = clique(4)
