@@ -15,9 +15,7 @@ from .resources import (
     ResourceReport,
     estimate_resources,
 )
-from .fastsim import FastGramerSimulator
 from .sim import (
-    BIT_IDENTICAL_ENGINES,
     DEFAULT_ENGINE,
     ENGINES,
     AncestorBufferOverflowError,
@@ -46,11 +44,9 @@ __all__ = [
     "estimate_resources",
     "AncestorBufferOverflowError",
     "GramerSimulator",
-    "FastGramerSimulator",
     "TurboGramerSimulator",
     "make_simulator",
     "ENGINES",
-    "BIT_IDENTICAL_ENGINES",
     "DEFAULT_ENGINE",
     "SimResult",
     "SimStats",

@@ -17,45 +17,11 @@ from repro.memory.policies import xorshift32
 from repro.mining.engine import Frame
 
 __all__ = [
-    "SlotContext",
     "StealingBuffer",
     "Stealer",
     "split_frame",
     "steal_from_stack",
 ]
-
-
-class SlotContext:
-    """One pipeline slot: an ancestor-buffer stack plus its local clock.
-
-    ``pending`` holds the recorded-but-not-yet-timed operations of the
-    step in flight (see ``repro.accel.sim``).
-    """
-
-    __slots__ = (
-        "slot_id",
-        "stack",
-        "time",
-        "busy_cycles",
-        "pending",
-    )
-
-    def __init__(self, slot_id: int) -> None:
-        self.slot_id = slot_id
-        self.stack: list[Frame] = []
-        self.time = 0
-        self.busy_cycles = 0
-        self.pending: deque = deque()
-
-    @property
-    def idle(self) -> bool:
-        """Whether the slot has no extension path."""
-        return not self.stack
-
-    @property
-    def depth(self) -> int:
-        """Current ancestor-buffer occupancy."""
-        return len(self.stack)
 
 
 class StealingBuffer:

@@ -12,9 +12,9 @@ Model structure
   candidate proposal + extend-check, or one traceback) runs *functionally*
   through the shared :func:`~repro.mining.engine.slot_step` with recording
   ``vertex``/``edge`` callbacks, producing the step's exact operation list
-  (memory requests, each carrying the pipeline compute cycles preceding
-  it).  Functional results are byte-identical to the software engine —
-  the invariant "sim counts == software counts" is enforced by tests.
+  (memory requests, then the step's trailing pipeline compute).
+  Functional results are byte-identical to the software engine — the
+  invariant "sim counts == software counts" is enforced by tests.
 * **Timing phase.**  The recorded operations replay one event at a time
   through a global time-ordered event loop.  Because events are processed
   in nondecreasing timestamp order, contention on the PU issue port
@@ -22,15 +22,39 @@ Model structure
   and the DRAM channels resolves exactly; dependent accesses within a
   candidate check serialize on the slot's clock, while the PU's other
   slots proceed — slot-level pipelining hides memory latency exactly as
-  §V-B intends.
+  §V-B intends.  Cache state mutates at request *service* time (global
+  time order), so hit/miss outcomes see the true interleaving.
 
-Cache state mutates at request *service* time (global time order), so
-hit/miss outcomes see the true interleaving.
+Implementation
+--------------
+* **Flattened memory state.**  Cache sets live in flat tag/rank/last-access
+  arrays indexed by ``set * ways + way`` (tag ``-1`` = invalid); hit scans,
+  fills and the Equation-2 victim search are inlined over those arrays.
+  Sizing is not re-derived: :func:`~repro.memory.hierarchy.build_hierarchy`
+  runs once per run, the flat model is extracted from the objects it built,
+  and the run's counters are written back into them (``self.hierarchy``).
+* **Batched slot state.**  Per-slot clocks and recorded-op queues are
+  parallel lists indexed by global slot id; work stealing is the shared
+  :class:`~repro.accel.scheduler.Stealer`.
+* **Calendar event queue.**  Events pop in ``(time, push order)`` order.
+  FIFO buckets indexed by cycle (Brown, CACM 1988) give that order with
+  list appends; events past the ring's window wait aside and become their
+  bucket before any later push for that cycle can land in it.
+* **Observability hooks.**  An optional
+  :class:`~repro.obs.hooks.SimInstrument` and
+  :class:`~repro.obs.access.AccessTrace` are called from inside the loop,
+  each site behind one ``is not None`` test.  They only read simulator
+  state, so a hooked run is bit-identical to an unhooked one.
+
+``tests/differential/engine_oracle.py`` keeps the per-event form of this
+model (one heap pop per event, per-PU and per-slot objects, the
+object-model hierarchy) as ``ReferenceSimulator``; the differential suites
+hold this engine to it on every ``SimStats`` field, mining result,
+exception type, tracer event, timeline window and access-trace record.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -40,13 +64,14 @@ from repro.graph.csr import CSRGraph
 from repro.graph.reorder import rank_permutation
 from repro.locality.occurrence import occurrence_numbers
 from repro.memory.dram import DRAMModel
-from repro.memory.hierarchy import AccessLevel, build_hierarchy
+from repro.memory.hierarchy import SideStats, build_hierarchy
+from repro.memory.policies import LocalityPreservedPolicy, LRUPolicy
 from repro.mining.apps.base import Application, MiningResult
 from repro.mining.engine import Frame, slot_step
 
 from .config import GramerConfig
 from .frontend import dispatch_roots
-from .pu import ProcessingUnit
+from .scheduler import Stealer
 from .stats import SimStats
 
 if TYPE_CHECKING:
@@ -58,7 +83,6 @@ __all__ = [
     "SimResult",
     "AncestorBufferOverflowError",
     "ENGINES",
-    "BIT_IDENTICAL_ENGINES",
     "DEFAULT_ENGINE",
     "make_simulator",
     "resolve_vertex_rank",
@@ -66,21 +90,17 @@ __all__ = [
 
 _STEAL_RETRY_CYCLES = 32
 
+# Calendar-queue window in cycles, a power of two; later events go to `far`.
+_RING = 512
+
 #: Engine choices accepted everywhere an ``engine=`` knob exists.
-#: ``"fast"`` is the batched engine of :mod:`repro.accel.fastsim`,
-#: bit-identical to ``"reference"`` (the event-by-event model below) and
-#: the default for every untraced run.  ``"turbo"``
-#: (:mod:`repro.accel.turbosim`) keeps the mining pass exact but replays
-#: timing through a decoupled batched model — timing fields are within
-#: declared tolerance bands of the reference, not byte-equal
-#: (docs/turbo.md).
+#: ``"fast"`` (the default) and ``"reference"`` both name the exact
+#: engine below.  ``"turbo"`` (:mod:`repro.accel.turbosim`) keeps the
+#: mining pass exact but replays timing through a decoupled batched model
+#: — timing fields are within declared tolerance bands of the exact
+#: engine, not byte-equal (docs/turbo.md).
 ENGINES = ("fast", "reference", "turbo")
 DEFAULT_ENGINE = "fast"
-
-#: The engines whose ``SimStats`` are byte-identical to each other; the
-#: bit-identity differential suite and benchmarks iterate these, never
-#: ``ENGINES`` (turbo is validated by the tolerance suite instead).
-BIT_IDENTICAL_ENGINES = ("fast", "reference")
 
 
 def resolve_vertex_rank(
@@ -116,32 +136,20 @@ def make_simulator(
 
     This is the one supported way to build a simulator outside
     ``repro.accel`` (enforced by ``gramer check`` rule GRM701), so the
-    fast and reference engines stay swappable at every call site.
+    engine stays a call-site parameter.
 
-    ``engine="fast"`` (the default) returns the batched engine, which is
-    bit-identical to the reference on every ``SimStats`` field (proven by
-    ``tests/differential/``).  ``engine="reference"`` forces the
-    event-by-event model.  ``engine="turbo"`` returns the decoupled-timing
-    engine: mining counts and exception behaviour stay exact while timing
-    fields are only tolerance-banded against the reference
-    (``tests/differential/tolerance.py``).  Passing an ``instrument`` or
-    an ``access_trace`` always selects the reference engine: observability
-    hooks fire on per-event state the batched engines do not materialise.
+    ``engine="turbo"`` returns the decoupled-timing engine: mining counts
+    and exception behaviour stay exact while timing fields are only
+    tolerance-banded against the exact engine
+    (``tests/differential/tolerance.py``).  Turbo has no observability
+    hooks, so a run with an ``instrument`` or an ``access_trace`` gets the
+    exact engine, as do ``"fast"`` and ``"reference"``.
     """
     if engine not in ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {ENGINES}"
         )
-    if instrument is not None or access_trace is not None or engine == "reference":
-        return GramerSimulator(
-            graph,
-            config,
-            vertex_rank=vertex_rank,
-            use_on1_ranks=use_on1_ranks,
-            instrument=instrument,
-            access_trace=access_trace,
-        )
-    if engine == "turbo":
+    if engine == "turbo" and instrument is None and access_trace is None:
         from .turbosim import TurboGramerSimulator
 
         return TurboGramerSimulator(
@@ -150,21 +158,14 @@ def make_simulator(
             vertex_rank=vertex_rank,
             use_on1_ranks=use_on1_ranks,
         )
-    from .fastsim import FastGramerSimulator
-
-    return FastGramerSimulator(
+    return GramerSimulator(
         graph,
         config,
         vertex_rank=vertex_rank,
         use_on1_ranks=use_on1_ranks,
+        instrument=instrument,
+        access_trace=access_trace,
     )
-
-# Operation kinds.  Each recorded op is (kind, address, src, pre_cycles):
-# pre_cycles of pipeline compute precede the request; _OP_END carries only
-# the step's trailing compute.
-_OP_VERTEX = 0
-_OP_EDGE = 1
-_OP_END = 2
 
 
 class AncestorBufferOverflowError(RuntimeError):
@@ -190,35 +191,6 @@ class SimResult:
         return self.stats.seconds(self.config.clock_mhz)
 
 
-class _RecordingMemory:
-    """Records a step's requests, each with the compute preceding it."""
-
-    __slots__ = ("ops", "pre_cycles")
-
-    def __init__(self) -> None:
-        self.ops: list[tuple[int, int, int, int]] = []
-        self.pre_cycles = 0
-
-    def vertex(self, vid: int) -> None:
-        self.ops.append((_OP_VERTEX, vid, 0, self.pre_cycles))
-        self.pre_cycles = 0
-
-    def edge(self, index: int, src: int) -> None:
-        self.ops.append((_OP_EDGE, index, src, self.pre_cycles))
-        self.pre_cycles = 0
-
-    def compute(self, cycles: int) -> None:
-        """Accumulate pipeline work to attach to the next request."""
-        self.pre_cycles += cycles
-
-    def finish(self) -> list[tuple[int, int, int, int]]:
-        """Close the step, flushing trailing compute as an END op."""
-        if self.pre_cycles or not self.ops:
-            self.ops.append((_OP_END, 0, 0, self.pre_cycles))
-            self.pre_cycles = 0
-        return self.ops
-
-
 class GramerSimulator:
     """Simulate GRAMER running one mining application on one graph.
 
@@ -227,6 +199,9 @@ class GramerSimulator:
     reorders the graph so ID == rank, which is behaviourally identical to
     carrying the rank map, so the simulator keeps original IDs plus the map.
     Pass ``use_on1_ranks=False`` for the rank-oblivious ablation.
+
+    ``instrument`` (tracer events, timeline windows, steal latencies) and
+    ``access_trace`` (memory-access records) are purely observational.
     """
 
     def __init__(
@@ -240,27 +215,20 @@ class GramerSimulator:
     ) -> None:
         self.graph = graph
         self.config = config if config is not None else GramerConfig()
-        # Purely observational (repro.obs.hooks.SimInstrument); every hook
-        # reads simulator state and never writes it, so a traced run is
-        # bit-identical to an untraced one.  The same contract covers the
-        # access trace: the hierarchy/cache observers and the ancestor
-        # emitter only append events.
         self.instrument = instrument
         self.access_trace = access_trace
-        self._emit_ancestor = None
-        if access_trace is not None:
-            from repro.obs.hooks import ancestor_push_emitter
-
-            self._emit_ancestor = ancestor_push_emitter(
-                access_trace, depth_capacity=self.config.ancestor_depth
-            )
         self.vertex_rank = resolve_vertex_rank(graph, vertex_rank, use_on1_ranks)
-        self._reset()
+        self.stats = SimStats()
 
-    def _reset(self) -> None:
-        cfg = self.config
-        self.hierarchy = build_hierarchy(
-            self.graph,
+    # The run loop is one deliberately monolithic function: every helper
+    # call it avoids is ~100ns × tens of millions of events.
+    def run(self, app: Application) -> SimResult:  # noqa: C901
+        """Execute ``app`` to completion; returns stats + mining results."""
+        graph, cfg = self.graph, self.config
+
+        # -- sizing: run the object-model builders once, extract a flat model
+        self.hierarchy = hierarchy = build_hierarchy(
+            graph,
             total_entries=cfg.onchip_entries,
             vertex_rank=self.vertex_rank,
             tau=cfg.tau,
@@ -270,242 +238,551 @@ class GramerSimulator:
             vertex_line=cfg.vertex_line_entries,
             edge_line=cfg.edge_line_entries,
         )
-        self.dram = DRAMModel(
+        # Instantiated purely so DRAM parameter validation stays shared.
+        DRAMModel(
             latency_cycles=cfg.dram_latency,
             channels=cfg.dram_channels,
             cycles_per_transfer=cfg.dram_cycles_per_transfer,
         )
-        self.partition_free = [0] * cfg.num_partitions
-        self.stats = SimStats()
-        self._recorder = _RecordingMemory()
-        if self.access_trace is not None:
-            from repro.obs.hooks import attach_access_observers
+        v_side = hierarchy.vertex_side
+        e_side = hierarchy.edge_side
+        v_cut = v_side.scratchpad.cutoff
+        e_cut = e_side.scratchpad.cutoff
+        vcache = v_side.low_cache
+        ecache = e_side.low_cache
+        shared = vcache is ecache  # uniform-LRU baseline: one cache, offset edges
 
-            attach_access_observers(self.hierarchy, self.access_trace)
+        policy = vcache.policy
+        if isinstance(policy, LocalityPreservedPolicy):
+            locality = True
+            lam = policy.lam
+            rank_scale = policy.rank_scale
+        elif isinstance(policy, LRUPolicy):
+            locality = False
+            lam = rank_scale = 0.0
+        else:  # pragma: no cover - build_hierarchy only emits the two above
+            raise TypeError(
+                f"the simulator cannot replicate policy {policy.name!r}"
+            )
 
-    # -- functional phase ---------------------------------------------------
+        ways = vcache.ways
+        v_sets = vcache.num_sets
+        v_line = vcache.line_size
+        v_tags = [-1] * (v_sets * ways)
+        v_ranks = [0] * (v_sets * ways)
+        v_last = [0] * (v_sets * ways)
+        v_evict = [0] * (v_sets * ways)  # evictions, at each set's first way
+        v_clock = 0  # the shared cache's clock in the uniform baseline
+        if shared:
+            e_tags, e_ranks, e_last = v_tags, v_ranks, v_last
+            e_evict = v_evict
+            e_sets, e_line = v_sets, v_line
+        else:
+            e_sets = ecache.num_sets
+            e_line = ecache.line_size
+            e_tags = [-1] * (e_sets * ways)
+            e_ranks = [0] * (e_sets * ways)
+            e_last = [0] * (e_sets * ways)
+            e_evict = [0] * (e_sets * ways)
+        e_clock = 0
+        e_addr_off = e_side.address_offset
 
-    def _record_step(self, pu: ProcessingUnit, slot, app: Application) -> None:
-        """Run one extension step functionally; queue its timed operations."""
-        graph, cfg, stats = self.graph, self.config, self.stats
-        recorder = self._recorder
-        recorder.ops = []
-        recorder.pre_cycles = 0
-        recorder.compute(cfg.issue_cycles)
-        frame = slot.stack[-1]
-        candidate, column = slot_step(
-            self._offsets, self._neighbors, frame, app.clique_only,
-            cfg.probe_mode == "scan", recorder.vertex, recorder.edge,
+        # Python lists: numpy scalar indexing costs more than the model,
+        # and values are identical post-tolist().
+        vrank = self.vertex_rank.tolist()
+        erank = (
+            hierarchy.edge_rank.tolist()
+            if hierarchy.edge_rank is not None
+            else None
         )
-        if candidate is None:
-            slot.stack.pop()
-            recorder.compute(1)  # traceback: dequeue the ancestor record
-        else:
-            stats.candidates_checked += 1
-            app.candidates_checked += 1
-            recorder.compute(cfg.check_cycles)
-            if column:
-                vertices = frame.vertices + (candidate,)
-                columns = frame.columns + (column,)
-                if app.filter(graph, vertices, columns):
-                    app.process(graph, vertices, columns)
-                    recorder.compute(cfg.process_cycles)
-                    stats.embeddings_accepted += 1
-                    if len(vertices) < app.max_vertices and app.aggregate_filter(
-                        graph, vertices, columns
-                    ):
-                        if len(slot.stack) >= cfg.ancestor_depth:
-                            raise AncestorBufferOverflowError(
-                                "extension depth exceeds ancestor buffer "
-                                f"capacity {cfg.ancestor_depth}"
-                            )
-                        slot.stack.append(Frame(vertices, columns))
-                        if self._emit_ancestor is not None:
-                            self._emit_ancestor(
-                                slot.slot_id, len(slot.stack), slot.time
-                            )
-                        # §V-C: every embedding the Scheduler receives
-                        # re-records its slot, keeping busy slots visible
-                        # to idle thieves.
-                        pu.stealer.buffer.push(slot.slot_id)
+        offsets = graph.offsets.tolist()
+        neighbors = graph.neighbors.tolist()
 
-        slot.pending.extend(recorder.finish())
+        # -- config scalars ------------------------------------------------
+        issue_cycles = cfg.issue_cycles
+        check_cycles = cfg.check_cycles
+        process_cycles = cfg.process_cycles
+        spm_lat = cfg.spm_latency
+        hit_lat = cfg.cache_hit_latency
+        nparts = cfg.num_partitions
+        part_line = cfg.edge_line_entries
+        nch = cfg.dram_channels
+        d_lat = cfg.dram_latency
+        d_cpt = cfg.dram_cycles_per_transfer
+        ancestor_depth = cfg.ancestor_depth
+        stealing = cfg.work_stealing
+        random_steal = cfg.steal_victim_select == "random"
+        scan_probe = cfg.probe_mode == "scan"
+        P = cfg.num_pus
+        S = cfg.slots_per_pu
+        G = P * S
 
-    # -- timing phase ---------------------------------------------------------
-
-    def _service_op(
-        self, pu: ProcessingUnit, slot, first: bool
-    ) -> None:
-        """Apply the slot's next recorded operation to its clock."""
-        cfg, stats = self.config, self.stats
-        kind, address, src, pre = slot.pending.popleft()
-        if first:
-            # The step's first operation claims the PU's single-issue port.
-            start = max(slot.time, pu.next_free)
-            pu.next_free = start + cfg.issue_cycles
-            slot.time = start + pre
-        else:
-            slot.time += pre
-        stats.compute_cycles += pre
-        if kind == _OP_END:
-            return
-        if kind == _OP_VERTEX:
-            partition_index = address % cfg.num_partitions
-        else:
-            partition_index = (
-                address // cfg.edge_line_entries
-            ) % cfg.num_partitions
-        start = max(slot.time, self.partition_free[partition_index])
-        self.partition_free[partition_index] = start + 1
-        trace = self.access_trace
-        if trace is not None:
-            # Stamp the trace clock with the request's service time; the
-            # hierarchy observers emit at this timestamp.
-            trace.cycle = start
-        if kind == _OP_VERTEX:
-            level = self.hierarchy.access_vertex(address)
-        else:
-            level = self.hierarchy.access_edge(address, src)
-        if level is AccessLevel.HIGH:
-            done = start + cfg.spm_latency
-        elif level is AccessLevel.LOW_HIT:
-            done = start + cfg.cache_hit_latency
-        else:
-            done = self.dram.service(start, address)
-            ins = self.instrument
-            if ins is not None:
-                ins.dram_fetch(
-                    pu.index,
-                    slot.slot_id,
-                    kind,
-                    address,
-                    ts=start,
-                    dur=done - start,
-                    channel=address % cfg.dram_channels,
-                )
-        if kind == _OP_VERTEX:
-            if level is AccessLevel.HIGH:
-                stats.vertex_high_hits += 1
-            elif level is AccessLevel.LOW_HIT:
-                stats.vertex_low_hits += 1
-            else:
-                stats.vertex_misses += 1
-            stats.vertex_wait_cycles += done - slot.time
-        else:
-            if level is AccessLevel.HIGH:
-                stats.edge_high_hits += 1
-            elif level is AccessLevel.LOW_HIT:
-                stats.edge_low_hits += 1
-            else:
-                stats.edge_misses += 1
-            stats.edge_wait_cycles += done - slot.time
-        slot.time = done
-
-    # -- main loop ----------------------------------------------------------
-
-    def run(self, app: Application) -> SimResult:
-        """Execute ``app`` to completion; returns stats + mining results."""
-        self._reset()
-        graph, cfg, stats = self.graph, self.config, self.stats
-        self._offsets = graph.offsets.tolist()
-        self._neighbors = graph.neighbors.tolist()
+        # -- application + root dispatch ------------------------------------
         app.prepare(graph)
+        clique_only = app.clique_only
+        max_vertices = app.max_vertices
+        app_filter = app.filter
+        app_process = app.process
+        app_aggregate = app.aggregate_filter
         dispatch = dispatch_roots(
             (v for v in range(graph.num_vertices) if app.root_filter(graph, v)),
-            cfg.num_pus,
+            P,
             cfg.prefetch_interval,
             policy=cfg.arbitrator,
             degrees=graph.degrees(),
         )
-        pus = [ProcessingUnit(p, cfg) for p in range(cfg.num_pus)]
+        dqueues = dispatch.queues
+
+        # -- batched slot / PU state (global slot id g = p * S + s) --------
+        # Busy cycles are derived, not accumulated: a slot is busy from t=0
+        # to its final time except for idle gaps (dispatch arrival waits,
+        # steal-retry backoffs), which are rare and recorded where they
+        # occur: busy[g] == final_time[g] - gap[g].
+        slot_time = [0] * G
+        slot_gap = [0] * G
+        stacks: list[list[Frame]] = [[] for _ in range(G)]
+        # A slot's recorded ops of the step in flight, filled through the
+        # slot's own recorder callbacks: memory ops carry no compute (the
+        # issue cycles precede the first op, the rest trails in the END op).
+        slot_ops: list[list[tuple[int, int, int, int]]] = [[] for _ in range(G)]
+        rec_vertex = [
+            (lambda vid, _a=ops.append: _a((0, vid, 0, 0))) for ops in slot_ops
+        ]
+        rec_edge = [
+            (lambda index, src, _a=ops.append: _a((1, index, src, 0)))
+            for ops in slot_ops
+        ]
+        pu_free = [0] * P
+        pu_busy = [0] * P
+        stealers = [
+            Stealer(p, stacks[p * S:(p + 1) * S], random_steal) for p in range(P)
+        ]
+        sbufs = [stealer.buffer for stealer in stealers]
+        pu_of = [g // S for g in range(G)]
+        sid_of = [g % S for g in range(G)]
+        part_free = [0] * nparts
+        ch_free = [0] * nch
+
+        # -- observability hooks --------------------------------------------
         ins = self.instrument
+        trace = self.access_trace
+        window_end = 0  # the instrument's next timeline window boundary
         if ins is not None:
-            ins.begin_run(cfg.num_pus, stats)
+            ins.begin_run(P, SimStats())
+            window_end = ins.sampler.next_boundary
+        emit_ancestor = None
+        if trace is not None:
+            from repro.obs.hooks import ancestor_push_emitter, lamh_access_emitters
 
-        heap: list[tuple[int, int, int, int]] = []
-        seq = 0
-        for p in range(cfg.num_pus):
-            for s in range(cfg.slots_per_pu):
-                heapq.heappush(heap, (0, seq, p, s))
-                seq += 1
+            emit_ancestor = ancestor_push_emitter(
+                trace, depth_capacity=ancestor_depth
+            )
+            (v_serve, v_fill), (e_serve, e_fill) = lamh_access_emitters(
+                hierarchy, trace
+            )
 
-        while heap:
-            t, _, p, s = heapq.heappop(heap)
-            pu = pus[p]
-            slot = pu.slots[s]
-            if t > slot.time:
-                slot.time = t
-            if ins is not None:
-                ins.advance(t, stats, pus)
+        # -- stats accumulators (folded into SimStats at the end) ----------
+        candidates_checked = 0
+        embeddings_accepted = 0
+        roots_dispatched = 0
+        steals = 0
+        steal_attempts = 0
+        v_hi = v_lo = v_miss = 0
+        e_hi = e_lo = e_miss = 0
+        compute_cycles = 0
+        v_wait = e_wait = 0
 
-            if slot.pending:
-                before = slot.time
-                self._service_op(pu, slot, first=False)
-                slot.busy_cycles += slot.time - before
-                if not slot.pending:
-                    if slot.idle:
-                        pu.busy_slots -= 1
-                    if ins is not None:
-                        ins.step_finished(p, s, slot.time)
-                heapq.heappush(heap, (slot.time, seq, p, s))
-                seq += 1
-                continue
+        # Calendar queue (Brown, CACM 1988): ring[t & mask] lists the slots
+        # due at cycle t in push order, for t in [now, now + R); far[t] holds
+        # later ones and becomes bucket t before any push for t can land in
+        # it.  So buckets pop in (t, push order) order; seeds are every slot
+        # at t=0, row-major.
+        R = _RING
+        mask = R - 1
+        ring: list[list[int]] = [[] for _ in range(R)]
+        ring[0].extend(range(G))
+        far: dict[int, list[int]] = {}
+        live = G  # slots with a pending event; a parked slot never returns
+        now = 0
 
-            if slot.idle:
-                item = dispatch.pop(p)
-                if item is not None:
-                    root, arrival = item
-                    slot.time = max(slot.time, arrival)
-                    slot.stack.append(Frame((root,), (0,)))
-                    stats.roots_dispatched += 1
-                    pu.busy_slots += 1
-                    pu.stealer.buffer.push(s)
-                    if ins is not None:
-                        ins.root_dispatched(p, s, root, slot.time)
-                elif cfg.work_stealing and pu.busy_slots > 0:
-                    stats.steal_attempts += 1
-                    if ins is not None:
-                        ins.steal_attempted(p, s, slot.time)
-                    if pu.stealer.steal(s) >= 0:
-                        stats.steals += 1
-                        pu.busy_slots += 1
-                        if ins is not None:
-                            ins.steal_succeeded(p, s, slot.time)
+        try:
+            while live:
+                horizon = now + R
+                bucket = ring[now & mask]
+                if ins is not None and now >= window_end:
+                    # Snapshot the counters only when a window closes.
+                    ins.advance(
+                        now,
+                        SimStats(
+                            candidates_checked=candidates_checked,
+                            embeddings_accepted=embeddings_accepted,
+                            roots_dispatched=roots_dispatched,
+                            steals=steals,
+                            steal_attempts=steal_attempts,
+                            vertex_high_hits=v_hi,
+                            vertex_low_hits=v_lo,
+                            vertex_misses=v_miss,
+                            edge_high_hits=e_hi,
+                            edge_low_hits=e_lo,
+                            edge_misses=e_miss,
+                            compute_cycles=compute_cycles,
+                            vertex_wait_cycles=v_wait,
+                            edge_wait_cycles=e_wait,
+                        ),
+                        sum(pu_busy),
+                    )
+                    window_end = ins.sampler.next_boundary
+                # A list iterator visits appends: a slot pushed back at `now`
+                # runs after all already queued, as its later push dictates.
+                for g in bucket:
+                    tg = slot_time[g]
+                    if now > tg:
+                        slot_gap[g] += now - tg
+                        tg = now
+                    ops = slot_ops[g]
+                    if ops:
+                        kind, address, src, pre = ops.pop()
+                        tg += pre
                     else:
-                        heapq.heappush(
-                            heap, (slot.time + _STEAL_RETRY_CYCLES, seq, p, s)
-                        )
-                        seq += 1
-                        continue
-                else:
-                    continue  # slot parks: no roots, nothing to steal
+                        # -- slot needs a new step ---------------------------
+                        p = pu_of[g]
+                        stack = stacks[g]
+                        if not stack:
+                            q = dqueues[p]
+                            if q:
+                                root, arrival = q.popleft()
+                                if arrival > tg:
+                                    slot_gap[g] += arrival - tg
+                                    tg = arrival
+                                stack.append(Frame((root,), (0,)))
+                                roots_dispatched += 1
+                                pu_busy[p] += 1
+                                sbufs[p].push(sid_of[g])
+                                if ins is not None:
+                                    ins.root_dispatched(p, sid_of[g], root, tg)
+                            elif stealing and pu_busy[p] > 0:
+                                steal_attempts += 1
+                                if ins is not None:
+                                    ins.steal_attempted(p, sid_of[g], tg)
+                                if stealers[p].steal(sid_of[g]) >= 0:
+                                    steals += 1
+                                    pu_busy[p] += 1
+                                    if ins is not None:
+                                        ins.steal_succeeded(p, sid_of[g], tg)
+                                else:
+                                    slot_time[g] = tg
+                                    nt = tg + _STEAL_RETRY_CYCLES
+                                    if nt < horizon:
+                                        ring[nt & mask].append(g)
+                                    else:
+                                        far.setdefault(nt, []).append(g)
+                                    continue
+                            else:
+                                # Slot parks: no roots, nothing to steal.
+                                slot_time[g] = tg
+                                live -= 1
+                                continue
 
-            # Record the next step; its first operation claims the issue
-            # port now, the rest replay as later events.
-            if ins is not None:
-                ins.step_started(p, s, slot.time, len(slot.stack))
-            self._record_step(pu, slot, app)
-            before = slot.time
-            self._service_op(pu, slot, first=True)
-            slot.busy_cycles += slot.time - before
-            if not slot.pending:
-                if slot.idle:
-                    pu.busy_slots -= 1
-                if ins is not None:
-                    ins.step_finished(p, s, slot.time)
-            heapq.heappush(heap, (slot.time, seq, p, s))
-            seq += 1
+                        # -- functional phase --------------------------------
+                        if ins is not None:
+                            ins.step_started(p, sid_of[g], tg, len(stack))
+                        candidate, column = slot_step(
+                            offsets, neighbors, stack[-1], clique_only,
+                            scan_probe, rec_vertex[g], rec_edge[g],
+                        )
+                        # The issue compute is charged as the step starts,
+                        # its trailing compute (`pre`) when the END op is
+                        # serviced, so timeline windows see each at its time.
+                        compute_cycles += issue_cycles
+                        if candidate is None:
+                            stack.pop()
+                            pre = 1  # traceback: dequeue the ancestor record
+                        else:
+                            candidates_checked += 1
+                            pre = check_cycles
+                            if column:
+                                frame = stack[-1]
+                                new_vertices = frame.vertices + (candidate,)
+                                new_columns = frame.columns + (column,)
+                                if app_filter(graph, new_vertices, new_columns):
+                                    app_process(graph, new_vertices, new_columns)
+                                    pre += process_cycles
+                                    embeddings_accepted += 1
+                                    if len(new_vertices) < max_vertices and (
+                                        app_aggregate(
+                                            graph, new_vertices, new_columns
+                                        )
+                                    ):
+                                        if len(stack) >= ancestor_depth:
+                                            raise AncestorBufferOverflowError(
+                                                "extension depth exceeds "
+                                                "ancestor buffer capacity "
+                                                f"{ancestor_depth}"
+                                            )
+                                        stack.append(
+                                            Frame(new_vertices, new_columns)
+                                        )
+                                        sbufs[p].push(sid_of[g])
+                                        if emit_ancestor is not None:
+                                            emit_ancestor(
+                                                sid_of[g], len(stack), tg
+                                            )
+                        if pre or not ops:
+                            ops.append((2, 0, 0, pre))  # END: trailing compute
+                        # Consumed back-to-front with list.pop(): cheaper
+                        # than cursor bookkeeping, and `ops` doubles as the
+                        # "step in flight" flag once reversed.
+                        ops.reverse()
+                        kind, address, src, pre = ops.pop()
+                        # The step's first op claims the PU issue port, and
+                        # the issue compute precedes it (the continuation
+                        # ops above just did `tg += pre`).
+                        nf = pu_free[p]
+                        start = tg if tg > nf else nf
+                        pu_free[p] = start + issue_cycles
+                        tg = start + issue_cycles + pre
+
+                    # -- timing phase: service the op ------------------------
+                    if kind == 0:
+                        pi = address % nparts
+                        pf = part_free[pi]
+                        start = tg if tg > pf else pf
+                        part_free[pi] = start + 1
+                        rank = vrank[address]
+                        if rank < v_cut:
+                            done = start + spm_lat
+                            v_hi += 1
+                        else:
+                            v_clock += 1
+                            tag = address // v_line
+                            base = (tag % v_sets) * ways
+                            end = base + ways
+                            w = base
+                            hit = False
+                            while w < end:
+                                if v_tags[w] == tag:
+                                    v_last[w] = v_clock
+                                    hit = True
+                                    break
+                                w += 1
+                            if hit:
+                                done = start + hit_lat
+                                v_lo += 1
+                            else:
+                                victim = -1
+                                w = base
+                                while w < end:
+                                    if v_tags[w] == -1:
+                                        victim = w
+                                        break
+                                    w += 1
+                                if victim < 0:
+                                    v_evict[base] += 1
+                                    if locality:
+                                        victim = base
+                                        best = (
+                                            v_ranks[base] * rank_scale
+                                            + lam * (v_clock - v_last[base])
+                                        )
+                                        w = base + 1
+                                        while w < end:
+                                            score = (
+                                                v_ranks[w] * rank_scale
+                                                + lam * (v_clock - v_last[w])
+                                            )
+                                            if score > best:
+                                                best = score
+                                                victim = w
+                                            w += 1
+                                    else:
+                                        victim = base
+                                        stale = v_last[base]
+                                        w = base + 1
+                                        while w < end:
+                                            lw = v_last[w]
+                                            if lw < stale:
+                                                stale = lw
+                                                victim = w
+                                            w += 1
+                                v_tags[victim] = tag
+                                v_ranks[victim] = rank
+                                v_last[victim] = v_clock
+                                ch = address % nch
+                                cf = ch_free[ch]
+                                ds = start if start > cf else cf
+                                ch_free[ch] = ds + d_cpt
+                                done = ds + d_lat
+                                v_miss += 1
+                                if ins is not None:
+                                    ins.dram_fetch(
+                                        pu_of[g], sid_of[g], 0, address,
+                                        ts=start, dur=done - start, channel=ch,
+                                    )
+                        if trace is not None:
+                            trace.cycle = start
+                            if rank < v_cut:
+                                v_serve(rank, "high")
+                            elif hit:
+                                v_serve(rank, "low_hit")
+                            else:
+                                v_fill(tag)
+                                v_serve(rank, "miss")
+                        v_wait += done - tg
+                        tg = done
+                    elif kind == 1:
+                        pi = (address // part_line) % nparts
+                        pf = part_free[pi]
+                        start = tg if tg > pf else pf
+                        part_free[pi] = start + 1
+                        rank = erank[address] if erank is not None else vrank[src]
+                        if rank < e_cut:
+                            done = start + spm_lat
+                            e_hi += 1
+                        else:
+                            if shared:
+                                v_clock += 1
+                                clk = v_clock
+                            else:
+                                e_clock += 1
+                                clk = e_clock
+                            tag = (address + e_addr_off) // e_line
+                            base = (tag % e_sets) * ways
+                            end = base + ways
+                            w = base
+                            hit = False
+                            while w < end:
+                                if e_tags[w] == tag:
+                                    e_last[w] = clk
+                                    hit = True
+                                    break
+                                w += 1
+                            if hit:
+                                done = start + hit_lat
+                                e_lo += 1
+                            else:
+                                victim = -1
+                                w = base
+                                while w < end:
+                                    if e_tags[w] == -1:
+                                        victim = w
+                                        break
+                                    w += 1
+                                if victim < 0:
+                                    e_evict[base] += 1
+                                    if locality:
+                                        victim = base
+                                        best = (
+                                            e_ranks[base] * rank_scale
+                                            + lam * (clk - e_last[base])
+                                        )
+                                        w = base + 1
+                                        while w < end:
+                                            score = (
+                                                e_ranks[w] * rank_scale
+                                                + lam * (clk - e_last[w])
+                                            )
+                                            if score > best:
+                                                best = score
+                                                victim = w
+                                            w += 1
+                                    else:
+                                        victim = base
+                                        stale = e_last[base]
+                                        w = base + 1
+                                        while w < end:
+                                            lw = e_last[w]
+                                            if lw < stale:
+                                                stale = lw
+                                                victim = w
+                                            w += 1
+                                e_tags[victim] = tag
+                                e_ranks[victim] = rank
+                                e_last[victim] = clk
+                                # DRAM channels key on the raw edge index.
+                                ch = address % nch
+                                cf = ch_free[ch]
+                                ds = start if start > cf else cf
+                                ch_free[ch] = ds + d_cpt
+                                done = ds + d_lat
+                                e_miss += 1
+                                if ins is not None:
+                                    ins.dram_fetch(
+                                        pu_of[g], sid_of[g], 1, address,
+                                        ts=start, dur=done - start, channel=ch,
+                                    )
+                        if trace is not None:
+                            trace.cycle = start
+                            if rank < e_cut:
+                                e_serve(rank, "high")
+                            elif hit:
+                                e_serve(rank, "low_hit")
+                            else:
+                                e_fill(tag)
+                                e_serve(rank, "miss")
+                        e_wait += done - tg
+                        tg = done
+                    else:  # END: the step's trailing compute
+                        compute_cycles += pre
+
+                    if not ops:
+                        if not stacks[g]:
+                            pu_busy[pu_of[g]] -= 1
+                        if ins is not None:
+                            ins.step_finished(pu_of[g], sid_of[g], tg)
+                    slot_time[g] = tg
+                    if tg < horizon:
+                        ring[tg & mask].append(g)
+                    else:
+                        far.setdefault(tg, []).append(g)
+                bucket.clear()
+                now += 1
+                if far:  # cycle now + R - 1 enters the window, in this bucket
+                    bucket.extend(far.pop(now + mask, ()))
+        finally:
+            # Folded in on every exit path, so app state is exact even on
+            # raise, as if it were bumped per candidate.
+            app.candidates_checked += candidates_checked
 
         app.finalize(graph)
-        stats.cycles = max(
-            (slot.time for pu in pus for slot in pu.slots), default=0
+        stats = SimStats(
+            cycles=max(slot_time, default=0),
+            candidates_checked=candidates_checked,
+            embeddings_accepted=embeddings_accepted,
+            roots_dispatched=roots_dispatched,
+            steals=steals,
+            steal_attempts=steal_attempts,
+            vertex_high_hits=v_hi,
+            vertex_low_hits=v_lo,
+            vertex_misses=v_miss,
+            edge_high_hits=e_hi,
+            edge_low_hits=e_lo,
+            edge_misses=e_miss,
+            compute_cycles=compute_cycles,
+            vertex_wait_cycles=v_wait,
+            edge_wait_cycles=e_wait,
+            pu_finish_cycles=[
+                max(slot_time[p * S:(p + 1) * S], default=0) for p in range(P)
+            ],
+            pu_busy_cycles=[
+                sum(slot_time[p * S:(p + 1) * S])
+                - sum(slot_gap[p * S:(p + 1) * S])
+                for p in range(P)
+            ],
         )
-        stats.pu_finish_cycles = [
-            max((slot.time for slot in pu.slots), default=0) for pu in pus
-        ]
-        stats.pu_busy_cycles = [
-            sum(slot.busy_cycles for slot in pu.slots) for pu in pus
-        ]
+        self.stats = stats
+
+        # Write the flat model's counters back into the sizing hierarchy,
+        # so its publish() and low_cache_pressure() describe this run.
+        v_side.stats = SideStats(v_hi, v_lo, v_miss)
+        e_side.stats = SideStats(e_hi, e_lo, e_miss)
+        v_side.scratchpad.hits = v_hi
+        e_side.scratchpad.hits = e_hi
+        if shared:
+            vcache.load_counts(v_lo + e_lo, v_miss + e_miss, v_evict[::ways])
+        else:
+            vcache.load_counts(v_lo, v_miss, v_evict[::ways])
+            ecache.load_counts(e_lo, e_miss, e_evict[::ways])
+
         if ins is not None:
-            ins.finish_run(stats, pus)
+            ins.finish_run(stats, sum(pu_busy))
         return SimResult(stats=stats, mining=app.result(), config=cfg)

@@ -1,21 +1,21 @@
 """Turbo GRAMER engine: exact mining, decoupled statistical timing model.
 
-The fast engine (:mod:`repro.accel.fastsim`) is capped near 2x because
-bit-identity chains the functional mining pass and the timing model to one
-sequential event order (docs/fastsim.md).  :class:`TurboGramerSimulator`
-breaks that chain:
+The exact engine (:class:`repro.accel.sim.GramerSimulator`) is bound to
+one sequential global event order, because bit-identity chains the
+functional mining pass and the timing model to it (docs/architecture.md
+§4).  :class:`TurboGramerSimulator` breaks that chain:
 
 * **Functional pass — exact.**  The mining computation runs in *virtual
   step order*: a round-robin sweep over all slots where every busy slot
   executes one extension step per round, using the same root-dispatch
   queues, the same :class:`~repro.accel.scheduler.Stealer`, and the same
-  ancestor-buffer depth check as the reference.  Mining state transitions
-  are the reference's own (every step is
+  ancestor-buffer depth check as the exact engine.  Mining state
+  transitions are the exact engine's own (every step is
   :func:`~repro.mining.engine.slot_step`, timed through recorder
   callbacks), and every counted quantity
   that is schedule-invariant — embedding counts, pattern sets,
   ``candidates_checked``, ``roots_dispatched`` — is therefore byte-identical
-  to the reference engine.  ``AncestorBufferOverflowError`` is likewise
+  to the exact engine.  ``AncestorBufferOverflowError`` is likewise
   exact whenever overflow is schedule-independent (always when work
   stealing is off; see docs/turbo.md for the stealing caveat).
 * **Timing pass — decoupled and batched.**  Each access is classified
@@ -26,28 +26,28 @@ breaks that chain:
   once with ``numpy.argsort`` into a canonical global interleave and
   replayed through the flat set-associative cache + DRAM-channel model,
   with a per-slot time correction folding miss penalties back into slot
-  clocks.  Busy cycles are gap-based exactly as in the fast engine
+  clocks.  Busy cycles are gap-based exactly as in the exact engine
   (``busy = final - gap``), and per-PU finish/busy roll-ups are numpy
   reductions over the per-slot arrays.
 
 Because slot clocks advance without global arbitration, issue-port and
 partition queueing are *not* resolved event-exactly, the cache sees an
-approximate (not the reference's) service order, and steal/retry timing is
+approximate (not the exact engine's) service order, and steal/retry timing is
 virtual.  Timing-facing ``SimStats`` fields — ``cycles``, hit/miss splits,
 waits, ``steals``/``steal_attempts``, per-PU arrays — are therefore close
-but not byte-equal to the reference.
+but not byte-equal to the exact engine's.
 
 Tolerance contract
 ------------------
 ``tests/differential/tolerance.py`` declares the contract: mining counts
-and exception types must match the reference exactly; every timing and
+and exception types must match the exact engine; every timing and
 energy field must fall within a per-field relative/absolute band.  The
 hypothesis corpus and the Table III tiny grid (plus the golden envelope
 fixtures under ``tests/experiments/golden/turbo/``) enforce it.
 
 Observability hooks are not supported (there is no per-event state to
-observe); :func:`~repro.accel.sim.make_simulator` forces the reference
-engine whenever an instrument or access trace is attached.
+observe); :func:`~repro.accel.sim.make_simulator` gives any run with an
+instrument or access trace the exact engine.
 """
 
 from __future__ import annotations
@@ -77,10 +77,10 @@ __all__ = ["TurboGramerSimulator"]
 
 
 class TurboGramerSimulator:
-    """Decoupled-timing engine; same constructor contract as the others.
+    """Decoupled-timing engine; same constructor contract as the exact one.
 
     ``instrument`` must be ``None`` (use the factory, which routes
-    instrumented runs to the reference engine).
+    instrumented runs to the exact engine).
     """
 
     def __init__(
@@ -94,8 +94,8 @@ class TurboGramerSimulator:
         if instrument is not None:
             raise ValueError(
                 "the turbo engine does not support observability hooks; "
-                "use make_simulator(), which forces engine='reference' "
-                "for instrumented runs"
+                "use make_simulator(), which gives instrumented runs the "
+                "exact engine"
             )
         self.graph = graph
         self.config = config if config is not None else GramerConfig()
@@ -105,15 +105,15 @@ class TurboGramerSimulator:
         #: replay correction totals) — diagnostics for the tolerance suite.
         self.timing_debug: dict[str, float] = {}
 
-    # Like the fast engine's loop, the functional sweep is deliberately
+    # Like the exact engine's loop, the functional sweep is deliberately
     # monolithic: the per-access work below is the entire sequential cost
     # of a turbo run, so every avoided call is throughput.
     def run(self, app: Application) -> SimResult:  # noqa: C901
         """Execute ``app`` to completion; returns stats + mining results."""
         graph, cfg = self.graph, self.config
 
-        # -- sizing: run the reference builders once, extract a flat model --
-        # (identical extraction to the fast engine, so cutoff/num_sets/tau
+        # -- sizing: run the object-model builders once, extract a flat model
+        # (identical extraction to the exact engine, so cutoff/num_sets/tau
         # validation rules stay shared by construction).
         hierarchy = build_hierarchy(
             graph,
@@ -211,7 +211,7 @@ class TurboGramerSimulator:
         # vt[g] is the slot's *virtual clock*: compute + nominal access
         # latencies (scratchpad for high, cache-hit for low).  The replay
         # pass later folds per-slot miss penalties back in; busy cycles are
-        # gap-based like the fast engine's (busy = final - gap).
+        # gap-based like the exact engine's (busy = final - gap).
         vt = [0] * G
         gap = [0] * G
         stacks: list[list[Frame]] = [[] for _ in range(G)]
@@ -375,8 +375,8 @@ class TurboGramerSimulator:
                     keep(g)
                 runnable = still
         finally:
-            # The reference engine bumps this per candidate; fold the batch
-            # in on every exit path so app state matches even on raise.
+            # Folded in on every exit path, so app state is exact even on
+            # raise, as if it were bumped per candidate.
             app.candidates_checked += candidates_checked
 
         app.finalize(graph)

@@ -1,17 +1,16 @@
 """Engine-selection rules (GRM7xx).
 
-The simulator ships three engines — the event-by-event reference, the
-bit-identical batched fast engine, and the tolerance-banded turbo tier —
-behind one factory, :func:`repro.accel.sim.make_simulator`.  Constructing
-``GramerSimulator`` directly pins the call site to the reference engine:
-it silently opts out of engine selection (``--engine``, backend params)
-and of the fast path every untraced run is supposed to use.
+The simulator ships two engines — the exact calendar-queue engine and
+the tolerance-banded turbo tier — behind one factory,
+:func:`repro.accel.sim.make_simulator`.  Constructing ``GramerSimulator``
+directly pins the call site to the exact engine: it silently opts out of
+engine selection (``--engine``, backend params).
 
 * ``GRM701`` — direct ``GramerSimulator(...)`` construction outside
-  ``repro/accel/``.  Call ``make_simulator(...)`` instead; it routes to
-  the reference engine automatically when an instrument is attached or
-  ``engine="reference"`` is requested.  (Unit tests may still pin a
-  specific engine — ``gramer check`` gates ``src``, not ``tests``.)
+  ``repro/accel/``.  Call ``make_simulator(...)`` instead; it routes
+  hooked runs to the exact engine whatever the engine name.  (Unit tests
+  may still pin a specific engine — ``gramer check`` gates ``src``, not
+  ``tests``.)
 * ``GRM702`` — exact ``==``/``!=`` on a ``SimStats`` timing field in
   turbo context.  Turbo timing is statistical by contract
   (``docs/turbo.md``): the only sanctioned assertions are the tolerance

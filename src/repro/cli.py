@@ -34,7 +34,6 @@ from repro.accel.energy import gramer_energy
 from repro.accel.sim import (
     DEFAULT_ENGINE,
     ENGINES,
-    AncestorBufferOverflowError,
     make_simulator,
 )
 from repro.graph.stats import degree_stats
@@ -104,30 +103,11 @@ def _cmd_simulate(args) -> None:
         from repro.obs import SimInstrument
 
         instrument = SimInstrument(window_cycles=args.trace_window)
-        if args.engine != "reference":
-            print("note: traced runs use the reference engine "
-                  "(obs hooks observe per-event state)")
     print(degree_stats(graph).describe())
     start = time.perf_counter()
-    try:
-        result = make_simulator(
-            graph, config, engine=args.engine, instrument=instrument
-        ).run(app)
-    except AncestorBufferOverflowError:
-        raise  # model-level outcome: identical in every engine
-    except Exception as exc:
-        if args.engine != "fast" or instrument is not None:
-            # Only the fast engine degrades to the reference (they are
-            # byte-identical); turbo results are tolerance-banded, so a
-            # turbo failure must surface, not be silently substituted.
-            raise
-        # Graceful degradation (docs/resilience.md): one logged shot on
-        # the reference engine before giving up on the run.
-        print(f"fast engine failed ({type(exc).__name__}: {exc}); "
-              f"falling back to the reference engine")
-        result = make_simulator(
-            graph, config, engine="reference", instrument=instrument
-        ).run(app)
+    result = make_simulator(
+        graph, config, engine=args.engine, instrument=instrument
+    ).run(app)
     stats = result.stats
     print(
         f"simulated in {time.perf_counter() - start:.2f}s host time\n"
@@ -747,9 +727,6 @@ def _cmd_trace(args) -> None:
         raise SystemExit(
             f"unknown dataset {args.dataset!r}; see `gramer datasets`"
         )
-    if args.engine != "reference":
-        print("note: traced runs use the reference engine "
-              "(obs hooks observe per-event state)")
     tracer = Tracer()
     instrument = SimInstrument(tracer=tracer, window_cycles=args.window)
     spec = cell_jobspec("gramer", args.app, args.dataset, args.scale)
@@ -787,8 +764,8 @@ def _cmd_profile(args) -> None:
     instrument = SimInstrument(
         window_cycles=args.window, registry=registry
     )
-    # Instrumented: the factory routes this to the reference engine, whose
-    # hierarchy/pressure introspection the report below relies on.
+    # The engine writes its cache counters back into ``sim.hierarchy``,
+    # whose publish/pressure views the report below reads.
     sim = make_simulator(graph, config, instrument=instrument)
     result = sim.run(app)
     sim.hierarchy.publish(registry)
@@ -1046,10 +1023,11 @@ def main(argv: list[str] | None = None) -> None:
                           help="timeline window width in cycles")
     simulate.add_argument("--engine", default=DEFAULT_ENGINE,
                           choices=list(ENGINES),
-                          help="simulation engine (fast is byte-identical "
-                               "to reference, turbo is tolerance-banded "
-                               "timing with exact mining; traced runs "
-                               "force reference)")
+                          help="simulation engine (fast and reference "
+                               "name the exact engine; turbo is "
+                               "tolerance-banded timing with exact mining "
+                               "and no trace hooks, so traced turbo runs "
+                               "use the exact engine)")
     simulate.set_defaults(func=_cmd_simulate)
 
     experiment = sub.add_parser("experiment",
@@ -1102,8 +1080,8 @@ def main(argv: list[str] | None = None) -> None:
                        help="write a Chrome-trace of job lifecycle to PATH")
     sweep.add_argument("--engine", default=DEFAULT_ENGINE,
                        choices=list(ENGINES),
-                       help="simulation engine for gramer cells (fast is "
-                            "byte-identical to reference; turbo keeps "
+                       help="simulation engine for gramer cells (fast and "
+                            "reference name the exact engine; turbo keeps "
                             "mining exact, timing tolerance-banded)")
     sweep.add_argument("--workers", type=int, default=None, metavar="N",
                        help="distributed mode: spawn N `gramer worker` "
@@ -1241,7 +1219,7 @@ def main(argv: list[str] | None = None) -> None:
     trace.add_argument("--engine", default=DEFAULT_ENGINE,
                        choices=list(ENGINES),
                        help="accepted for symmetry; traced runs always use "
-                            "the reference engine")
+                            "the exact engine")
     trace.set_defaults(func=_cmd_trace)
 
     profile = sub.add_parser(

@@ -141,11 +141,11 @@ def run_gramer_cell(
 
     ``engine`` selects the simulation engine (``"fast"``/``"reference"``/
     ``"turbo"``); ``None`` keeps it out of the job spec so cache keys stay
-    stable and the backend applies its default.  Fast and reference are
-    byte-identical, so choosing between them never affects the cell's
-    numbers; turbo keeps mining counts exact but its timing/energy fields
-    are only tolerance-banded (tests/differential/tolerance.py) and the
-    cell gets a distinct cache key.
+    stable and the backend applies its default.  Fast and reference both
+    name the exact engine, so choosing between them never affects the
+    cell's numbers; turbo keeps mining counts exact but its timing/energy
+    fields are only tolerance-banded (tests/differential/tolerance.py) and
+    the cell gets a distinct cache key.
     """
     params = {
         f"energy_{k}": v

@@ -61,10 +61,6 @@ class SetAssociativeCache:
         self.line_size = line_size
         self.policy = policy if policy is not None else LRUPolicy()
         self.stats = CacheStats()
-        # Optional fill observer (repro.obs.hooks attaches one for
-        # access-traced runs): called with (tag, rank) after a miss
-        # installs its line.  Purely observational.
-        self.fill_observer = None
         self._sets = [
             [LineState() for _ in range(ways)] for _ in range(num_sets)
         ]
@@ -108,8 +104,6 @@ class SetAssociativeCache:
         for line in lines:
             if not line.valid:
                 self._install(line, tag, rank)
-                if self.fill_observer is not None:
-                    self.fill_observer(tag, rank)
                 return
         way = self.policy.victim(lines, self._clock)
         if not 0 <= way < self.ways:
@@ -119,8 +113,6 @@ class SetAssociativeCache:
         self.stats.evictions += 1
         self._set_evictions[set_index] += 1
         self._install(lines[way], tag, rank)
-        if self.fill_observer is not None:
-            self.fill_observer(tag, rank)
 
     def _install(self, line: LineState, tag: int, rank: int) -> None:
         line.valid = True
@@ -128,6 +120,21 @@ class SetAssociativeCache:
         line.rank = rank
         line.last_access = self._clock
         line.fill_seq = self._clock
+
+    def load_counts(
+        self, hits: int, misses: int, set_evictions: list[int]
+    ) -> None:
+        """Take the counters of a run modelled outside this object.
+
+        The cycle simulator replays cache behaviour on flat arrays and
+        writes its counts back here, so ``publish`` and ``set_pressure``
+        describe that run.  Line state is left as it is.
+        """
+        self.stats.accesses = hits + misses
+        self.stats.hits = hits
+        self.stats.misses = misses
+        self.stats.evictions = sum(set_evictions)
+        self._set_evictions = list(set_evictions)
 
     def set_eviction_counts(self) -> list[int]:
         """Evictions per set, in set order (copy)."""

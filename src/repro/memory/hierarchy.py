@@ -94,10 +94,6 @@ class MemorySide:
         self.low_cache = low_cache
         self.address_offset = address_offset
         self.stats = SideStats()
-        # Optional access-event observer (repro.obs.hooks attaches one for
-        # access-traced runs).  Purely observational: called with values
-        # this method already computed, after all state transitions.
-        self.observer = None
 
     @property
     def capacity_entries(self) -> int:
@@ -115,8 +111,6 @@ class MemorySide:
         else:
             self.stats.misses += 1
             level = AccessLevel.MISS
-        if self.observer is not None:
-            self.observer(address, rank, level)
         return level
 
     def publish(self, registry: "MetricsRegistry") -> None:

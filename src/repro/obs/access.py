@@ -1,7 +1,7 @@
 """Structured memory-access event channel — the raw feed of ``memprofile``.
 
-The fourth pillar of the observability subsystem: producers (the reference
-simulator's LAMH observers, the CPU baseline's cache stack, the RStream
+The fourth pillar of the observability subsystem: producers (the GRAMER
+simulator's LAMH emitters, the CPU baseline's cache stack, the RStream
 disk spill path) record one :class:`AccessEvent` per memory transaction
 into an :class:`AccessTrace`; the offline analyzer
 (:mod:`repro.obs.locality_report`) turns the stream into the per-region

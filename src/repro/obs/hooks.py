@@ -2,9 +2,10 @@
 
 :class:`~repro.accel.sim.GramerSimulator` accepts an optional instrument
 and calls its hooks from the event loop (root dispatch, extension steps,
-DRAM fetches, steal waits) — each hook is purely observational: it reads
-simulator state, never writes it, so a traced run produces bit-identical
-``SimStats`` to an untraced one (asserted by tests).
+DRAM fetches, steal waits, timeline window closes) — each hook is purely
+observational: it reads simulator state, never writes it, so a traced run
+produces bit-identical ``SimStats`` to an untraced one (asserted by
+tests).
 
 Time base: the hooks receive simulated *cycles* and forward them to the
 tracer as microseconds one-for-one (see ``repro.obs.tracer``).  Track
@@ -19,7 +20,7 @@ per slot) and the closed timeline windows, both of which feed the
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Protocol
 
 from .access import ACCESS_ENTRY_BYTES, AccessTrace
 from .metrics import MetricsRegistry
@@ -37,8 +38,8 @@ from .tracer import (
 
 __all__ = [
     "SimInstrument",
-    "attach_access_observers",
     "attach_cpu_observer",
+    "lamh_access_emitters",
     "ancestor_push_emitter",
     "disk_spill_emitter",
     "emit_job_event",
@@ -52,10 +53,6 @@ class _StatsLike(Protocol):
     cycles: int
 
     def as_dict(self) -> dict[str, object]: ...
-
-
-class _PULike(Protocol):
-    busy_slots: int
 
 
 class SimInstrument:
@@ -87,16 +84,19 @@ class SimInstrument:
             tracer.metadata(SIM_PID_BASE + p, 0, "process_name", f"PU {p}")
         self.sampler.begin(stats)
 
-    def advance(
-        self, now: int, stats: _StatsLike, pus: Sequence[_PULike]
-    ) -> None:
-        """Drive the timeline sampler from the event loop's clock."""
-        for window in self.sampler.advance(now, stats, pus):
+    def advance(self, now: int, stats: _StatsLike, active_slots: int) -> None:
+        """Close the timeline windows the event loop's clock has passed.
+
+        The loop calls this once ``now`` reaches
+        ``self.sampler.next_boundary``; ``stats`` holds the counters so
+        far and ``active_slots`` the busy slots across all PUs.
+        """
+        for window in self.sampler.advance(now, stats, active_slots):
             self._emit_window(window)
 
-    def finish_run(self, stats: _StatsLike, pus: Sequence[_PULike]) -> None:
+    def finish_run(self, stats: _StatsLike, active_slots: int) -> None:
         """Flush the final timeline window and publish end-of-run metrics."""
-        for window in self.sampler.finish(stats.cycles, stats, pus):
+        for window in self.sampler.finish(stats.cycles, stats, active_slots):
             self._emit_window(window)
         registry = self.registry
         if registry is not None:
@@ -237,10 +237,20 @@ _SIDE_REGION = {"vertex": "on1-rank", "edge": "adjacency"}
 _LEVEL_NAMES = {"high": "high", "low_hit": "low", "miss": "offchip"}
 
 
+_Serve = Callable[[int, str], None]
+_Fill = Callable[[int], None]
+
+
+class _CacheLike(Protocol):
+    @property
+    def line_size(self) -> int: ...
+
+
 class _SideLike(Protocol):
     name: str
-    observer: "Callable[[int, int, object], None] | None"
-    low_cache: object
+
+    @property
+    def low_cache(self) -> _CacheLike: ...
 
 
 class _HierarchyLike(Protocol):
@@ -248,13 +258,13 @@ class _HierarchyLike(Protocol):
     edge_side: _SideLike
 
 
-def _side_observer(
+def _serve_emitter(
     side_name: str, trace: AccessTrace, entry_bytes: int
-) -> "Callable[[int, int, object], None]":
+) -> _Serve:
     region = _SIDE_REGION.get(side_name, side_name)
     component = f"lamh.{side_name}"
 
-    def observe(address: int, rank: int, level: object) -> None:
+    def emit(rank: int, level: str) -> None:
         # Rank space: after ON1 reordering the rank *is* the physical
         # address, so off-chip fills land at rank * entry_bytes.
         trace.record(
@@ -263,19 +273,19 @@ def _side_observer(
             address=rank * entry_bytes,
             size=entry_bytes,
             rw="r",
-            level=_LEVEL_NAMES[getattr(level, "value", str(level))],
+            level=_LEVEL_NAMES[level],
         )
 
-    return observe
+    return emit
 
 
-def _fill_observer(
+def _fill_emitter(
     side_name: str, trace: AccessTrace, line_entries: int, entry_bytes: int
-) -> "Callable[[int, int], None]":
+) -> _Fill:
     component = f"priority_cache.{side_name}"
     line_bytes = max(1, line_entries) * entry_bytes
 
-    def observe(tag: int, rank: int) -> None:
+    def emit(tag: int) -> None:
         trace.record(
             component=component,
             region="priority-cache",
@@ -285,27 +295,38 @@ def _fill_observer(
             level="low",
         )
 
-    return observe
+    return emit
 
 
-def attach_access_observers(
+def lamh_access_emitters(
     hierarchy: _HierarchyLike,
     trace: AccessTrace,
     entry_bytes: int = ACCESS_ENTRY_BYTES,
-) -> None:
-    """Route LAMH service traffic + low-cache fills into ``trace``.
+) -> tuple[tuple[_Serve, _Fill], tuple[_Serve, _Fill]]:
+    """Emitters for LAMH service traffic and low-cache fills, by side.
 
-    Installs the per-side observers on a freshly built hierarchy; the
-    simulator updates ``trace.cycle`` as its clock advances, so events
-    carry service-time timestamps.  Observers only read the arguments the
-    hierarchy already computes — zero perturbation.
+    Returns ``((serve, fill), (serve, fill))`` for the vertex and the edge
+    side of ``hierarchy``.  ``serve(rank, level)`` records one request
+    served at ``level``, an ``AccessLevel`` value (``"high"``,
+    ``"low_hit"`` or ``"miss"``); ``fill(tag)`` records the line a miss
+    installs in the low-priority cache, and precedes that miss's
+    ``serve``.  Both stamp ``trace.cycle``, which the simulator sets to
+    the request's service start.  A low cache shared by both sides (the
+    uniform baseline) is one cache with one fill emitter, the edge
+    side's.
     """
-    for side in (hierarchy.vertex_side, hierarchy.edge_side):
-        side.observer = _side_observer(side.name, trace, entry_bytes)
-        cache = side.low_cache
-        cache.fill_observer = _fill_observer(
-            side.name, trace, getattr(cache, "line_size", 1), entry_bytes
+    vertex, edge = (
+        (
+            _serve_emitter(side.name, trace, entry_bytes),
+            _fill_emitter(
+                side.name, trace, side.low_cache.line_size, entry_bytes
+            ),
         )
+        for side in (hierarchy.vertex_side, hierarchy.edge_side)
+    )
+    if hierarchy.vertex_side.low_cache is hierarchy.edge_side.low_cache:
+        vertex = (vertex[0], edge[1])
+    return vertex, edge
 
 
 def ancestor_push_emitter(

@@ -9,20 +9,20 @@ fixed-width cycle windows.
 :class:`TimelineSampler` snapshots a stats object every ``window_cycles``
 simulated cycles and differences consecutive snapshots into
 :class:`TimelineWindow` records: per-window accesses/hits per side, DRAM
-traffic, stall attribution, steals, plus point-in-time PU occupancy.
-The simulator drives it from its event loop (``advance`` at every event
-timestamp; ``finish`` once at the end) — the sampler decides internally
-whether a window boundary was crossed, so the hot loop stays branch-light.
+traffic, stall attribution, steals, plus point-in-time slot occupancy.
+The simulator drives it from its event loop: ``advance`` once the clock
+reaches :attr:`TimelineSampler.next_boundary`, ``finish`` once at the end.
+Between boundaries the simulator keeps its counters wherever it likes and
+builds a stats object only when a window closes.
 
-Stats and PU objects are duck-typed through small ``Protocol``\\ s; the
-sampler imports nothing from ``repro.accel``, keeping ``obs`` a leaf
-package.
+Stats objects are duck-typed through a small ``Protocol``; the sampler
+imports nothing from ``repro.accel``, keeping ``obs`` a leaf package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Protocol
 
 __all__ = ["TimelineSampler", "TimelineWindow"]
 
@@ -31,12 +31,6 @@ class _StatsLike(Protocol):
     """Anything exposing scalar counters via ``as_dict`` (SimStats does)."""
 
     def as_dict(self) -> Mapping[str, object]: ...
-
-
-class _PULike(Protocol):
-    """Anything exposing instantaneous slot occupancy (ProcessingUnit does)."""
-
-    busy_slots: int
 
 
 @dataclass(frozen=True)
@@ -107,10 +101,6 @@ def _scalar_snapshot(stats: _StatsLike) -> dict[str, int]:
     }
 
 
-def _active_slots(pus: Sequence[_PULike]) -> int:
-    return sum(pu.busy_slots for pu in pus)
-
-
 class TimelineSampler:
     """Fixed-width cycle-window differencing of a live stats object."""
 
@@ -120,20 +110,21 @@ class TimelineSampler:
         self.window_cycles = window_cycles
         self.windows: list[TimelineWindow] = []
         self._prev: dict[str, int] = {}
-        self._boundary = window_cycles  # next close-at cycle
+        #: The cycle at which the next window closes.
+        self.next_boundary = window_cycles
 
     def begin(self, stats: _StatsLike) -> None:
         """Take the opening snapshot (call once before the event loop)."""
         self.windows.clear()
         self._prev = _scalar_snapshot(stats)
-        self._boundary = self.window_cycles
+        self.next_boundary = self.window_cycles
 
     def _close_window(
         self,
         start_cycle: int,
         end_cycle: int,
         stats: _StatsLike,
-        pus: Sequence[_PULike],
+        active_slots: int,
     ) -> TimelineWindow:
         current = _scalar_snapshot(stats)
         delta = {
@@ -170,16 +161,18 @@ class TimelineSampler:
             steals=delta.get("steals", 0),
             steal_attempts=delta.get("steal_attempts", 0),
             roots_dispatched=delta.get("roots_dispatched", 0),
-            active_slots=_active_slots(pus),
+            active_slots=active_slots,
         )
         self.windows.append(window)
         self._prev = current
         return window
 
     def advance(
-        self, now: int, stats: _StatsLike, pus: Sequence[_PULike]
+        self, now: int, stats: _StatsLike, active_slots: int
     ) -> list[TimelineWindow]:
         """Close every window whose boundary ``now`` has reached or passed.
+
+        ``active_slots`` is the number of busy slots across all PUs now.
 
         Returns the newly closed windows (usually none, sometimes one;
         several when the simulated clock jumps across multiple
@@ -189,26 +182,26 @@ class TimelineSampler:
         an exact partition of the run either way.
         """
         closed: list[TimelineWindow] = []
-        while now >= self._boundary:
+        while now >= self.next_boundary:
             closed.append(
                 self._close_window(
-                    self._boundary - self.window_cycles,
-                    self._boundary,
+                    self.next_boundary - self.window_cycles,
+                    self.next_boundary,
                     stats,
-                    pus,
+                    active_slots,
                 )
             )
-            self._boundary += self.window_cycles
+            self.next_boundary += self.window_cycles
         return closed
 
     def finish(
-        self, end: int, stats: _StatsLike, pus: Sequence[_PULike]
+        self, end: int, stats: _StatsLike, active_slots: int
     ) -> list[TimelineWindow]:
         """Flush boundaries up to ``end`` plus the final partial window."""
-        closed = self.advance(end, stats, pus)
+        closed = self.advance(end, stats, active_slots)
         last_end = self.windows[-1].end_cycle if self.windows else 0
         if end > last_end or not self.windows:
             closed.append(
-                self._close_window(last_end, end, stats, pus)
+                self._close_window(last_end, end, stats, active_slots)
             )
         return closed

@@ -36,7 +36,6 @@ from repro.accel.energy import EnergyParams, cpu_energy, gramer_energy
 from repro.accel.sim import (
     DEFAULT_ENGINE,
     ENGINES,
-    AncestorBufferOverflowError,
     SimResult,
     make_simulator,
 )
@@ -288,48 +287,18 @@ class GramerBackend:
         else:
             vertex_rank = None
 
-        def simulate(selected_engine: str) -> SimResult:
-            # Engine selection rides in params; instrumented and
-            # access-traced runs are forced to the reference engine by
-            # the factory (obs hooks observe per-event state the fast
-            # engine does not materialise).
-            return make_simulator(
-                graph,
-                cfg,
-                engine=selected_engine,
-                vertex_rank=vertex_rank,
-                use_on1_ranks=params.get("use_on1_ranks", True),
-                instrument=instrument,
-                access_trace=access_trace,
-            ).run(app)
-
         start = time.perf_counter()
-        try:
-            result: SimResult = simulate(engine)
-        except AncestorBufferOverflowError:
-            # A model-level outcome, identical in both engines — part of
-            # the cell's deterministic result, never an engine defect.
-            raise
-        except Exception as exc:
-            if engine != "fast" or instrument is not None or access_trace is not None:
-                # Only the fast engine may degrade to the reference: the
-                # two are bit-identical when healthy, so substitution is
-                # invisible.  Turbo results are tolerance-banded, not
-                # byte-comparable — silently swapping in reference stats
-                # would change the cell, so a turbo failure is a failure.
-                raise
-            # Graceful degradation (docs/resilience.md): a fast-engine
-            # internal error gets one logged shot on the reference engine
-            # before the job is declared failed.  Both engines are
-            # bit-identical when healthy, so the result is unchanged.
-            _log.warning(
-                "fast engine failed (%s: %s); falling back to the "
-                "reference engine for this job",
-                type(exc).__name__,
-                exc,
-            )
-            start = time.perf_counter()
-            result = simulate("reference")
+        # Engine selection rides in params; hooked runs get the exact
+        # engine from the factory whatever the name.
+        result: SimResult = make_simulator(
+            graph,
+            cfg,
+            engine=engine,
+            vertex_rank=vertex_rank,
+            use_on1_ranks=params.get("use_on1_ranks", True),
+            instrument=instrument,
+            access_trace=access_trace,
+        ).run(app)
         wall = time.perf_counter() - start
         energy = gramer_energy(result.stats, cfg, energy_params)
         # Table III's GRAMER time "includes the FPGA setup time and data

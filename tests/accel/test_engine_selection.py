@@ -1,23 +1,17 @@
 """Engine selection and validation across the factory and the backend.
 
-The turbo engine tier added a third name to ``ENGINES``; these tests pin
-the selection contract: unknown names are rejected up front with a
-message listing the valid engines, observability hooks force the
-reference engine regardless of the requested name, and the turbo engine
-never silently degrades to the reference (its results are
-tolerance-banded, not byte-comparable).
+These tests pin the selection contract: unknown names are rejected up
+front with a message listing the valid engines, ``"fast"`` and
+``"reference"`` both select the one exact engine, observability hooks
+select it regardless of the requested name, and the turbo engine never
+silently degrades to it (its results are tolerance-banded, not
+byte-comparable).
 """
 
 import pytest
 
 from repro.accel.config import GramerConfig
-from repro.accel.fastsim import FastGramerSimulator
-from repro.accel.sim import (
-    BIT_IDENTICAL_ENGINES,
-    ENGINES,
-    GramerSimulator,
-    make_simulator,
-)
+from repro.accel.sim import ENGINES, GramerSimulator, make_simulator
 from repro.accel.turbosim import TurboGramerSimulator
 from repro.graph import erdos_renyi
 from repro.obs import AccessTrace, SimInstrument
@@ -32,16 +26,12 @@ def graph():
 
 def test_engines_registry_shape():
     assert ENGINES == ("fast", "reference", "turbo")
-    # Consumers that require byte-equality iterate this subset, not
-    # ENGINES: turbo is close-but-not-equal by design.
-    assert BIT_IDENTICAL_ENGINES == ("fast", "reference")
-    assert set(BIT_IDENTICAL_ENGINES) < set(ENGINES)
 
 
 @pytest.mark.parametrize(
     ("engine", "expected_type"),
     [
-        ("fast", FastGramerSimulator),
+        ("fast", GramerSimulator),
         ("reference", GramerSimulator),
         ("turbo", TurboGramerSimulator),
     ],
@@ -60,6 +50,7 @@ def test_factory_rejects_unknown_engine_listing_valid_ones(graph):
         assert name in message
 
 
+# The engine "reference" names is the exact engine, GramerSimulator.
 @pytest.mark.parametrize("engine", ["turbo", "fast"])
 def test_instrument_forces_reference_engine(graph, engine):
     sim = make_simulator(

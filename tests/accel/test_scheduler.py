@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.graph.generators import clique, star
 from repro.mining.engine import Frame, NullMemory, slot_step
 from repro.accel.scheduler import (
-    SlotContext,
     Stealer,
     StealingBuffer,
     split_frame,
@@ -15,6 +14,7 @@ from repro.accel.scheduler import (
 )
 
 from ..conftest import small_graphs
+from ..differential.engine_oracle import SlotContext
 
 
 class TestStealingBuffer:

@@ -268,7 +268,7 @@ class TestRuleEdgeCases:
 
     def test_direct_construction_allowed_inside_accel(self):
         source = "sim = GramerSimulator(graph, config)\n"
-        relpath = "src/repro/accel/fastsim.py"
+        relpath = "src/repro/accel/turbosim.py"
         assert check_source(source, relpath, relpath=relpath) == []
 
     def test_turbo_timing_equality_flagged_in_turbo_scope(self):

@@ -1,6 +1,6 @@
-"""Differential verification of the fast engine's calendar event queue.
+"""Differential verification of the exact engine's calendar event queue.
 
-:mod:`repro.accel.fastsim` pops events from a ring of ``_RING`` FIFO
+:mod:`repro.accel.sim` pops events from a ring of ``_RING`` FIFO
 buckets indexed by cycle, and parks events past the ring's window in a
 side table until their cycle enters it.  At the default ring (512 cycles)
 only ``test_engine_equivalence.py``'s 700-cycle DRAM latency reaches that
@@ -17,12 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accel import fastsim
+from repro.accel import sim
 from repro.accel.config import GramerConfig
 from repro.graph.csr import CSRGraph
 
 from .test_engine_equivalence import (
     APPS,
+    ORACLE,
     _grid_cell,
     _snapshot,
     assert_engines_agree,
@@ -49,7 +50,7 @@ zero_latency_configs = st.builds(
     [("3-CF", "citeseer"), ("4-MC", "p2p"), ("FSM", "citeseer")],
 )
 def test_table3_tiny_subset_on_short_rings(ring, app_name, graph_name):
-    with mock.patch.object(fastsim, "_RING", ring):
+    with mock.patch.object(sim, "_RING", ring):
         _grid_cell(app_name, graph_name)
 
 
@@ -61,7 +62,7 @@ def test_table3_tiny_subset_on_short_rings(ring, app_name, graph_name):
 )
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_short_rings_bit_identical(graph, config, app_name, ring):
-    with mock.patch.object(fastsim, "_RING", ring):
+    with mock.patch.object(sim, "_RING", ring):
         assert_engines_agree(graph, config, app_name)
 
 
@@ -74,4 +75,4 @@ def test_more_slots_than_a_16_bit_id():
     assert config.max_inflight_embeddings > 0xFFFF
     fast = _snapshot(graph, config, "3-CF", "fast")
     assert "error" not in fast
-    assert fast == _snapshot(graph, config, "3-CF", "reference")
+    assert fast == _snapshot(graph, config, "3-CF", ORACLE)

@@ -1,9 +1,10 @@
-"""Differential verification: the fast engine vs the reference engine.
+"""Differential verification: the exact engine vs the per-event oracle.
 
-The batched engine (:mod:`repro.accel.fastsim`) promises *bit-identical*
-``SimStats`` — not approximately equal, byte-for-byte equal after JSON
-serialisation — for every configuration and workload.  This suite is the
-proof:
+The calendar-queue engine (:class:`repro.accel.sim.GramerSimulator`, what
+``make_simulator`` returns for ``"fast"`` and ``"reference"``) promises
+*bit-identical* ``SimStats`` to :class:`~.engine_oracle.ReferenceSimulator`
+— not approximately equal, byte-for-byte equal after JSON serialisation —
+for every configuration and workload.  This suite is the proof:
 
 * randomized property tests (hypothesis) over the GramerConfig space ×
   random graphs × applications, and
@@ -11,8 +12,8 @@ proof:
   6-app × 7-dataset sweep gated behind ``GRAMER_DIFF_GRID=1`` (the CI
   differential job sets it; locally it adds ~2 minutes).
 
-When the engines throw (e.g. ancestor-buffer overflow on deep patterns
-with a shallow buffer), they must throw the *same* exception type.
+When they throw (e.g. ancestor-buffer overflow on deep patterns with a
+shallow buffer), they must throw the *same* exception type.
 """
 
 import json
@@ -23,28 +24,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accel.config import GramerConfig
-from repro.accel.sim import BIT_IDENTICAL_ENGINES, make_simulator
+from repro.accel.sim import DEFAULT_ENGINE, make_simulator
 from repro.experiments import datasets
 from repro.experiments.paper_data import TABLE3_APPS
 from repro.graph import erdos_renyi, powerlaw_cluster, random_labels
 from repro.mining import make_app
 from repro.runtime.backends import build_app
 
+from .engine_oracle import ReferenceSimulator
+
 APPS = ["3-CF", "4-CF", "3-MC", "4-MC", "FSM-2"]
+
+#: The engine name these suites give the per-event oracle.
+ORACLE = "oracle"
+
+
+def build_simulator(graph, config, engine, **kwargs):
+    """``make_simulator(..., engine=engine)``, or the oracle for ``ORACLE``."""
+    if engine == ORACLE:
+        return ReferenceSimulator(graph, config, **kwargs)
+    return make_simulator(graph, config, engine=engine, **kwargs)
 
 
 def _snapshot(graph, config, app_name, engine, vertex_rank=None):
     """Run one engine to a comparable value: stats + counts, or the error.
 
-    Construction and run are folded together because the reference engine
-    validates (and builds the hierarchy) in ``__init__`` while the fast
-    engine defers to ``run`` — a config rejected by one must compare equal
-    to the same rejection by the other.
+    Construction and run are folded together because the oracle validates
+    (and builds the hierarchy) in ``__init__`` while the engine defers to
+    ``run`` — a config rejected by one must compare equal to the same
+    rejection by the other.
     """
     app = make_app(app_name)
     try:
-        result = make_simulator(
-            graph, config, engine=engine, vertex_rank=vertex_rank
+        result = build_simulator(
+            graph, config, engine, vertex_rank=vertex_rank
         ).run(app)
     except Exception as error:  # noqa: BLE001 - the type IS the payload
         return {"error": type(error).__name__}
@@ -57,18 +70,18 @@ def _snapshot(graph, config, app_name, engine, vertex_rank=None):
 
 
 def assert_engines_agree(graph, config, app_name, vertex_rank=None):
-    fast, reference = (
-        _snapshot(graph, config, app_name, engine, vertex_rank)
-        for engine in BIT_IDENTICAL_ENGINES
+    engine, oracle = (
+        _snapshot(graph, config, app_name, name, vertex_rank)
+        for name in (DEFAULT_ENGINE, ORACLE)
     )
-    if fast != reference:
-        for key in reference:
-            if fast.get(key) != reference.get(key):
+    if engine != oracle:
+        for key in oracle:
+            if engine.get(key) != oracle.get(key):
                 raise AssertionError(
-                    f"engines diverge on {key!r} for {app_name}: "
-                    f"fast={fast.get(key)!r} reference={reference.get(key)!r}"
+                    f"engine and oracle diverge on {key!r} for {app_name}: "
+                    f"engine={engine.get(key)!r} oracle={oracle.get(key)!r}"
                 )
-    assert fast == reference
+    assert engine == oracle
 
 
 configs = st.builds(
@@ -147,16 +160,16 @@ def _grid_cell(app_name, graph_name):
     graph = loader(graph_name, scale)
     config = GramerConfig()
     results = {}
-    for engine in BIT_IDENTICAL_ENGINES:
+    for engine in (DEFAULT_ENGINE, ORACLE):
         cell_app = build_app(app_name, graph_name, scale)
-        result = make_simulator(graph, config, engine=engine).run(cell_app)
+        result = build_simulator(graph, config, engine).run(cell_app)
         results[engine] = (
             json.dumps(result.stats.as_dict(), sort_keys=True),
             result.mining.embeddings_by_size,
             result.mining.patterns_by_size,
             cell_app.candidates_checked,
         )
-    assert results["fast"] == results["reference"], (app_name, graph_name)
+    assert results[DEFAULT_ENGINE] == results[ORACLE], (app_name, graph_name)
 
 
 @pytest.mark.parametrize(
@@ -175,5 +188,5 @@ def test_table3_tiny_subset(app_name, graph_name):
 @pytest.mark.parametrize("app_name", TABLE3_APPS)
 @pytest.mark.parametrize("graph_name", datasets.DATASET_ORDER)
 def test_table3_tiny_full_grid(app_name, graph_name):
-    """Every Table III tiny cell, both engines, byte-identical."""
+    """Every Table III tiny cell, engine and oracle, byte-identical."""
     _grid_cell(app_name, graph_name)

@@ -1,7 +1,8 @@
-"""Differential verification: the turbo engine vs the reference engine.
+"""Differential verification: the turbo engine vs the exact engine.
 
-The contract is statistical, not byte-identical (that is the fast
-engine's suite, ``test_engine_equivalence.py``): mining counts, mining
+The reference is ``engine="reference"``, the exact engine.  The contract
+is statistical, not byte-identical (that is the exact engine's suite,
+``test_engine_equivalence.py``): mining counts, mining
 results and exception types must match the reference exactly, while
 timing/energy fields must land inside the per-field bands declared in
 :mod:`tolerance`.  Randomized examples run derandomized so the bands —

@@ -1,7 +1,8 @@
-"""Statistical-tolerance contract between the turbo and reference engines.
+"""Statistical-tolerance contract between the turbo and exact engines.
 
-The fast engine promises byte-identity and is checked with ``==`` (see
-``test_engine_equivalence.py``).  The turbo engine deliberately gives that
+The reference here is the exact engine (``engine="reference"``), which
+promises byte-identity to the per-event oracle and is checked with ``==``
+(see ``test_engine_equivalence.py``).  The turbo engine deliberately gives that
 up: its timing model is decoupled from the functional mining pass, so
 timing-facing ``SimStats`` fields land *near* the reference, not on it.
 "Near" must not mean "whatever the implementation happens to produce" —

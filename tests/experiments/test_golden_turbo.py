@@ -2,7 +2,7 @@
 
 Each fixture under ``golden/turbo/`` freezes, for one Table III tiny
 cell, the turbo engine's full ``SimStats.as_dict()`` *and* its measured
-deviation envelope against the reference engine at freeze time (per
+deviation envelope against the exact engine at freeze time (per
 field: reference value, turbo value, relative deviation).  The turbo
 engine is deterministic, so the test asserts the current run matches the
 frozen turbo stats exactly — any timing-model change shows up as a

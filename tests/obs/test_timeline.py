@@ -33,11 +33,6 @@ class FakeStats:
         return {**self.counters, "per_pu": [1, 2], "flag": True}
 
 
-class FakePU:
-    def __init__(self, busy_slots):
-        self.busy_slots = busy_slots
-
-
 class TestTimelineSampler:
     def test_window_cycles_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -46,11 +41,11 @@ class TestTimelineSampler:
     def test_deltas_are_per_window_not_cumulative(self):
         sampler = TimelineSampler(100)
         stats = FakeStats()
-        pus = [FakePU(2), FakePU(1)]
+        active_slots = 3
         sampler.begin(stats)
 
         stats.bump(vertex_high_hits=3, vertex_misses=1, steals=2)
-        closed = sampler.advance(100, stats, pus)
+        closed = sampler.advance(100, stats, active_slots)
         assert len(closed) == 1
         first = closed[0]
         assert (first.start_cycle, first.end_cycle) == (0, 100)
@@ -62,7 +57,7 @@ class TestTimelineSampler:
         assert first.active_slots == 3
 
         stats.bump(edge_low_hits=5)
-        second = sampler.advance(200, stats, pus)[0]
+        second = sampler.advance(200, stats, active_slots)[0]
         assert second.vertex_accesses == 0  # only the fresh delta
         assert second.edge_hits == 5
         assert second.edge_hit_ratio == 1.0
@@ -71,7 +66,7 @@ class TestTimelineSampler:
         sampler = TimelineSampler(100)
         stats = FakeStats()
         sampler.begin(stats)
-        assert sampler.advance(99, stats, []) == []
+        assert sampler.advance(99, stats, 0) == []
         assert sampler.windows == []
 
     def test_clock_jump_closes_multiple_windows(self):
@@ -79,7 +74,7 @@ class TestTimelineSampler:
         stats = FakeStats()
         sampler.begin(stats)
         stats.bump(compute_cycles=7)
-        closed = sampler.advance(35, stats, [])
+        closed = sampler.advance(35, stats, 0)
         assert [(w.start_cycle, w.end_cycle) for w in closed] == [
             (0, 10),
             (10, 20),
@@ -94,9 +89,9 @@ class TestTimelineSampler:
         stats = FakeStats()
         sampler.begin(stats)
         stats.bump(edge_misses=2)
-        sampler.advance(100, stats, [])
+        sampler.advance(100, stats, 0)
         stats.bump(edge_misses=3)
-        closed = sampler.finish(130, stats, [])
+        closed = sampler.finish(130, stats, 0)
         assert [(w.start_cycle, w.end_cycle) for w in closed] == [(100, 130)]
         assert closed[0].dram_accesses == 3
         # Windows partition [0, 130) exactly.
@@ -108,7 +103,7 @@ class TestTimelineSampler:
         stats = FakeStats()
         sampler.begin(stats)
         stats.bump(vertex_high_hits=1)
-        closed = sampler.finish(40, stats, [FakePU(4)])
+        closed = sampler.finish(40, stats, 4)
         assert len(closed) == 1 and len(sampler.windows) == 1
         assert closed[0].end_cycle == 40
         assert closed[0].vertex_hits == 1
@@ -117,8 +112,8 @@ class TestTimelineSampler:
         sampler = TimelineSampler(50)
         stats = FakeStats()
         sampler.begin(stats)
-        sampler.advance(50, stats, [])
-        closed = sampler.finish(50, stats, [])
+        sampler.advance(50, stats, 0)
+        closed = sampler.finish(50, stats, 0)
         assert closed == []
         assert len(sampler.windows) == 1
 
@@ -127,7 +122,7 @@ class TestTimelineSampler:
         stats = FakeStats()
         sampler.begin(stats)
         stats.bump(vertex_high_hits=1, vertex_misses=1)
-        window = sampler.finish(5, stats, [])[0]
+        window = sampler.finish(5, stats, 0)[0]
         dump = window.as_dict()
         assert dump["vertex_hit_ratio"] == pytest.approx(0.5)
         assert dump["end_cycle"] == 5.0

@@ -195,6 +195,35 @@ class TestCLI:
         assert "timeline" in out
         assert "sim_cycles_total" in out  # --metrics dump
 
+    def test_profile_matches_oracle_run(self, capsys):
+        """Profile text and metrics equal an instrumented oracle run's."""
+        from repro.accel.config import GramerConfig
+        from repro.experiments import datasets
+        from repro.mining import make_app
+        from repro.obs import MetricsRegistry, SimInstrument, render_profile
+
+        from .differential.engine_oracle import ReferenceSimulator
+
+        main(["profile", "--dataset", "citeseer", "--scale", "tiny",
+              "--app", "3-CF", "--window", "256", "--metrics"])
+        out = capsys.readouterr().out
+
+        graph = datasets.load("citeseer", "tiny")
+        config = GramerConfig(onchip_entries=max(
+            64, (graph.num_vertices + len(graph.neighbors)) // 4
+        ))
+        registry = MetricsRegistry()
+        instrument = SimInstrument(window_cycles=256, registry=registry)
+        oracle = ReferenceSimulator(graph, config, instrument=instrument)
+        result = oracle.run(make_app("3-CF"))
+        oracle.hierarchy.publish(registry)
+        profile = render_profile(
+            result.stats,
+            instrument=instrument,
+            pressure=oracle.hierarchy.low_cache_pressure(),
+        )
+        assert out == f"{profile}\n\n{registry.render_text()}\n"
+
     def test_sweep_reports_slowest_jobs(self, capsys):
         main(["sweep", "--apps", "3-CF", "--datasets", "citeseer",
               "--backends", "gramer", "--scale", "tiny", "--no-cache"])
