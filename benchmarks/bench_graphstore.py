@@ -5,7 +5,7 @@ materialize), then measures
 
 * **warm open** — a fresh :class:`GraphStore` instance opening the
   artifact from disk (header + checksum verification + ``np.memmap``),
-  the path every executor pool worker takes;
+  the path every executor sweep worker takes;
 * **per-worker peak RSS** — worker processes opening the same artifact at
   ``--jobs`` 1/2/4 and touching every array; pages are shared through the
   OS page cache, so per-worker peaks stay flat as the pool widens;

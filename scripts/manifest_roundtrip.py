@@ -3,8 +3,9 @@
 Drives the full distributed-sweep + manifest story end-to-end through
 the real CLI (docs/resilience.md §5):
 
-1. ``gramer sweep --workers 2 --seal`` shards a tiny grid over two
-   worker processes and seals a Merkle manifest over the artifacts;
+1. ``gramer sweep --jobs 2 --ledger --seal`` shards a tiny grid over two
+   claim/lease worker processes and seals a Merkle manifest over the
+   artifacts;
 2. ``gramer manifest verify`` passes on the intact grid;
 3. one byte of one cached artifact is flipped in place — verify must
    fail, name the *exact* spec digest, and quarantine the entry;
@@ -64,7 +65,7 @@ def main(argv=None):
     print("== stage 1: distributed sweep + seal ==")
     cli([
         "sweep", *_grid_flags(),
-        "--workers", "2",
+        "--jobs", "2",
         "--ledger", str(ledger),
         "--seal", str(manifest_path),
     ])

@@ -10,7 +10,7 @@
     gramer sweep --apps 3-CF --datasets citeseer --ledger run.jsonl
     gramer sweep --apps 3-CF --datasets citeseer --resume run.jsonl
     gramer sweep --apps 3-CF --datasets citeseer --ledger run.jsonl \\
-                 --workers 3 --seal run.manifest.json
+                 --jobs 3 --seal run.manifest.json
     gramer worker --apps 3-CF --datasets citeseer \\
                   --ledger run.jsonl --claims run.jsonl.claims
     gramer manifest seal run.manifest.json --apps 3-CF --datasets citeseer
@@ -213,18 +213,9 @@ def _cmd_sweep(args) -> None:
         format_table,
         save_results,
     )
-    from repro.runtime import (
-        Executor,
-        JobResult,
-        RetryPolicy,
-        RunLedger,
-        load_ledger,
-    )
+    from repro.runtime import Executor, RetryPolicy, RunLedger
 
     specs = _sweep_specs(args)
-    if args.workers:
-        _run_distributed_sweep(args, specs)
-        return
     tracer = None
     if args.trace:
         from repro.obs import Tracer
@@ -242,78 +233,23 @@ def _cmd_sweep(args) -> None:
 
         access_traces = AccessTraceSet()
 
-    # Resume: replay the ledger and lift completed cells out of the grid
-    # before the executor ever sees them (docs/resilience.md).
-    resume_state = load_ledger(args.resume) if args.resume else None
+    # --resume L is --ledger L: the run boundary decides what re-runs.
+    if args.ledger and args.resume and args.ledger != args.resume:
+        raise SystemExit("--resume LEDGER appends to LEDGER; drop --ledger")
     ledger_path = args.ledger or args.resume
     ledger = RunLedger(ledger_path) if ledger_path else None
-    resumed: dict[int, JobResult] = {}
-    pending: list = []
-    if resume_state is not None:
-        # A ledger `ok` line is a *claim*, not proof: the artifact behind
-        # it may have been deleted, evicted, or corrupted since.  When the
-        # cache is in play, trust-but-verify every resumed cell against
-        # its disk envelope (corrupt entries are quarantined by the check
-        # itself) and re-run the ones that no longer validate.  Under
-        # --no-cache the ledger record is the whole result and stands
-        # alone, so there is nothing to cross-check.
-        verify_cache = None
-        if not args.no_cache:
-            from repro.runtime import JOB_KIND, default_cache
-
-            verify_cache = default_cache()
-        for index, spec in enumerate(specs):
-            entry = resume_state.entry_for(spec)
-            if entry is not None and entry.completed:
-                if (
-                    verify_cache is not None
-                    and verify_cache.entry_checksum(
-                        JOB_KIND, spec.cache_key()
-                    )
-                    is None
-                ):
-                    # Drop any in-process memory copy too: a memory hit
-                    # would satisfy the re-run without restoring the disk
-                    # artifact the verification just found missing.
-                    verify_cache.evict_memory(JOB_KIND, spec.cache_key())
-                    print(
-                        f"resume: ledger marks {spec.label()} ok but its "
-                        "cached artifact is missing or failed "
-                        "verification; re-running"
-                    )
-                    pending.append(spec)
-                    continue
-                resumed[index] = JobResult(
-                    spec=spec,
-                    system=entry.system or spec.backend,
-                    ok=True,
-                    seconds=entry.seconds,
-                    energy_j=entry.energy_j,
-                    detail={"resumed": True},
-                    cached=True,
-                    retries=entry.retries,
-                )
-            else:
-                pending.append(spec)
-    else:
-        pending = list(specs)
-
-    retry = RetryPolicy(max_attempts=max(1, args.retries))
     executor = Executor(
         jobs=args.jobs,
         timeout_s=args.timeout,
         use_cache=not args.no_cache,
         tracer=tracer,
-        retry=retry,
+        retry=RetryPolicy(max_attempts=max(1, args.retries)),
         ledger=ledger,
+        lease_s=args.lease,
     )
     start = time.perf_counter()
     try:
-        fresh = (
-            executor.run(pending, access_traces=access_traces)
-            if pending
-            else []
-        )
+        results = executor.run(specs, access_traces=access_traces)
     except KeyboardInterrupt:
         wall = time.perf_counter() - start
         print(f"\ninterrupted after {wall:.2f}s; "
@@ -326,12 +262,6 @@ def _cmd_sweep(args) -> None:
         if ledger is not None:
             ledger.close()
     wall = time.perf_counter() - start
-
-    fresh_iter = iter(fresh)
-    results = [
-        resumed[i] if i in resumed else next(fresh_iter)
-        for i in range(len(specs))
-    ]
 
     rows = []
     for result in results:
@@ -431,115 +361,6 @@ def _cmd_sweep(args) -> None:
                 "--seal needs the artifact cache (manifests bind cached "
                 "artifact checksums); drop --no-cache"
             )
-        _seal_after_sweep(args, specs)
-
-
-def _run_distributed_sweep(args, specs) -> None:
-    """``sweep --workers N``: N coordinating ``gramer worker`` processes.
-
-    The parent only orchestrates — it spawns the workers (each a full
-    ``gramer worker`` invocation sharing the ledger, claim directory, and
-    artifact cache), waits, then renders the converged grid from the
-    ledger.  Workers coordinate purely through shared durable state, so
-    killing the parent never corrupts the sweep: relaunching resumes from
-    wherever the claims and journal stand.
-    """
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    from repro.experiments.harness import format_seconds, format_table
-    from repro.runtime import load_ledger
-
-    if not args.ledger:
-        raise SystemExit(
-            "--workers needs --ledger PATH: the shared journal is how "
-            "workers (and the final report) coordinate"
-        )
-    if args.resume or args.access_report or args.trace:
-        raise SystemExit(
-            "--workers cannot be combined with --resume, --access-report, "
-            "or --trace (workers resume implicitly from the shared ledger)"
-        )
-    if args.no_cache:
-        raise SystemExit(
-            "--workers needs the artifact cache: results transport "
-            "between workers as cached artifacts"
-        )
-    claims = args.claims or f"{args.ledger}.claims"
-    Path(claims).mkdir(parents=True, exist_ok=True)
-    command = [sys.executable, "-m", "repro.cli", "worker",
-               "--apps", *args.apps]
-    if args.datasets:
-        command += ["--datasets", *args.datasets]
-    if args.backends:
-        command += ["--backends", *args.backends]
-    command += [
-        "--scale", args.scale,
-        "--engine", args.engine,
-        "--ledger", str(args.ledger),
-        "--claims", str(claims),
-        "--lease", str(args.lease),
-        "--retries", str(args.retries),
-    ]
-    start = time.perf_counter()
-    procs = [
-        subprocess.Popen(command + ["--worker-id", f"w{i + 1}"])
-        for i in range(max(1, args.workers))
-    ]
-    try:
-        codes = [proc.wait() for proc in procs]
-    except KeyboardInterrupt:
-        for proc in procs:
-            proc.terminate()
-        print(
-            f"\ninterrupted; claims in {claims} expire after "
-            f"{args.lease:.0f}s and the sweep resumes from {args.ledger}"
-        )
-        raise SystemExit(EXIT_INTERRUPTED) from None
-    wall = time.perf_counter() - start
-
-    state = load_ledger(args.ledger)
-    rows = []
-    failed = 0
-    for spec in specs:
-        entry = state.entry_for(spec)
-        if entry is None:
-            status = "missing"
-            failed += 1
-        elif entry.completed:
-            status = "ok"
-        else:
-            status = f"failed: {entry.error}" if entry.error else entry.status
-            failed += 1
-        rows.append([
-            spec.app,
-            spec.graph_name,
-            (entry.system if entry else "") or spec.backend,
-            format_seconds(entry.seconds if entry else None),
-            (
-                f"{entry.energy_j * 1e3:.3f}mJ"
-                if entry and entry.energy_j
-                else "-"
-            ),
-            status,
-        ])
-    print(format_table(
-        ["App", "Graph", "System", "Modeled", "Energy", "Status"], rows
-    ))
-    takeovers = len(state.takeover_digests())
-    print(
-        f"{len(specs)} cells across {len(procs)} worker(s) in {wall:.2f}s "
-        f"({failed} failed, {takeovers} lease takeover(s)); "
-        f"worker exits: {codes}"
-    )
-    if failed:
-        if args.seal:
-            print("seal skipped: a manifest only attests to a fully-ok grid")
-        raise SystemExit(
-            EXIT_TOTAL_FAILURE if failed == len(specs) else EXIT_PARTIAL
-        )
-    if args.seal:
         _seal_after_sweep(args, specs)
 
 
@@ -1037,7 +858,8 @@ def main(argv: list[str] | None = None) -> None:
     experiment.add_argument("--out", default="results")
     experiment.add_argument("--only", nargs="*", default=None)
     experiment.add_argument("--jobs", type=int, default=None,
-                            help="process-pool width (default: $GRAMER_JOBS or 1)")
+                            help="sweep workers for the cell grid "
+                                 "(default: $GRAMER_JOBS or 1)")
     experiment.add_argument("--no-cache", action="store_true",
                             help="recompute cells instead of reusing cached results")
     experiment.set_defaults(func=_cmd_experiment)
@@ -1055,9 +877,10 @@ def main(argv: list[str] | None = None) -> None:
     sweep.add_argument("--scale", default="small",
                        choices=["tiny", "small", "full"])
     sweep.add_argument("--jobs", type=int, default=None,
-                       help="process-pool width (default: $GRAMER_JOBS or 1)")
+                       help="claim/lease sweep workers to fork "
+                            "(default: $GRAMER_JOBS or 1)")
     sweep.add_argument("--timeout", type=float, default=None,
-                       help="per-job timeout in seconds (pool mode)")
+                       help="per-job timeout in seconds (with --jobs N > 1)")
     sweep.add_argument("--retries", type=int, default=3,
                        help="max attempts per job for transient failures "
                             "(1 disables retries; default 3)")
@@ -1065,9 +888,8 @@ def main(argv: list[str] | None = None) -> None:
                        help="append a crash-safe JSONL run ledger to PATH "
                             "(docs/resilience.md)")
     sweep.add_argument("--resume", default=None, metavar="LEDGER",
-                       help="skip cells the ledger records as ok, re-run "
-                            "failed/interrupted ones, append to the same "
-                            "ledger")
+                       help="same as --ledger LEDGER: skip cells it "
+                            "records as ok, re-run failed/interrupted ones")
     sweep.add_argument("--no-cache", action="store_true",
                        help="recompute cells instead of reusing cached results")
     sweep.add_argument("--out", default=None,
@@ -1083,15 +905,9 @@ def main(argv: list[str] | None = None) -> None:
                        help="simulation engine for gramer cells (fast and "
                             "reference name the exact engine; turbo keeps "
                             "mining exact, timing tolerance-banded)")
-    sweep.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="distributed mode: spawn N `gramer worker` "
-                            "processes sharding this grid via lease-based "
-                            "claims on --ledger (docs/resilience.md)")
-    sweep.add_argument("--claims", default=None, metavar="DIR",
-                       help="claim directory for --workers "
-                            "(default: <ledger>.claims)")
     sweep.add_argument("--lease", type=float, default=30.0, metavar="S",
-                       help="claim lease TTL in seconds for --workers; an "
+                       help="claim lease TTL in seconds for the sweep "
+                            "workers (claims live at <ledger>.claims); an "
                             "unrefreshed claim is taken over after this "
                             "long (default: 30)")
     sweep.add_argument("--seal", default=None, metavar="PATH",

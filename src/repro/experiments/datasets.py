@@ -167,7 +167,7 @@ def load(name: str, scale: str = "small") -> CSRGraph:
 
     The generator runs at most once per (name, scale, salt): its CSR
     arrays are written to a content-addressed store artifact, and every
-    load — in this process, in executor pool workers, in later runs —
+    load — in this process, in executor sweep workers, in later runs —
     opens that artifact as a read-only memory map sharing OS pages.
     Repeated calls in one process return the same object.
     """

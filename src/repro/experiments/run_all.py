@@ -8,9 +8,10 @@ Produces one text report per table/figure plus a combined ``results.json``
 used to fill EXPERIMENTS.md.
 
 Execution goes through :mod:`repro.runtime`: the Table III cell grid is
-submitted as job specs to one :class:`~repro.runtime.Executor` (fanned out
-over a process pool with ``--jobs N`` / ``GRAMER_JOBS``), the remaining
-independent figure/table modules fan out over the same worker budget, and
+submitted as job specs to one :class:`~repro.runtime.Executor` (run on
+``--jobs N`` / ``GRAMER_JOBS`` forked claim/lease sweep workers), the
+remaining independent figure/table modules fan out over a module pool of
+the same width, and
 every completed cell is memoized in the content-addressed artifact cache —
 re-running only recomputes changed cells (``--no-cache`` forces fresh
 results).  Output order and report contents are deterministic regardless
@@ -142,8 +143,8 @@ def main(argv: list[str] | None = None) -> None:
     )
     parser.add_argument(
         "--jobs", type=int, default=None,
-        help="process-pool width for cell/module fan-out "
-             "(default: $GRAMER_JOBS or 1)",
+        help="sweep workers for the cell grid, pool width for the "
+             "figure modules (default: $GRAMER_JOBS or 1)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",

@@ -51,8 +51,8 @@ def run(
 
     All cells are submitted through one :class:`~repro.runtime.Executor`
     (serial inline by default; pass ``executor=Executor(jobs=N)`` or set
-    ``GRAMER_JOBS`` to fan out over a process pool).  Results come back in
-    grid order regardless of worker count.
+    ``GRAMER_JOBS`` to run them on N forked claim/lease sweep workers).
+    Results come back in grid order, byte-identical at any worker count.
     """
     executor = executor if executor is not None else Executor()
     specs = cell_specs(scale, apps, graphs)

@@ -311,9 +311,9 @@ def lamh_access_emitters(
     ``"low_hit"`` or ``"miss"``); ``fill(tag)`` records the line a miss
     installs in the low-priority cache, and precedes that miss's
     ``serve``.  Both stamp ``trace.cycle``, which the simulator sets to
-    the request's service start.  A low cache shared by both sides (the
-    uniform baseline) is one cache with one fill emitter, the edge
-    side's.
+    the request's service start.  Each side labels its own fills, also
+    when both share one low cache (the uniform baseline): a fill caused
+    by a vertex miss is a ``priority_cache.vertex`` record.
     """
     vertex, edge = (
         (
@@ -324,8 +324,6 @@ def lamh_access_emitters(
         )
         for side in (hierarchy.vertex_side, hierarchy.edge_side)
     )
-    if hierarchy.vertex_side.low_cache is hierarchy.edge_side.low_cache:
-        vertex = (vertex[0], edge[1])
     return vertex, edge
 
 

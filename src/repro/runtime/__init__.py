@@ -8,9 +8,9 @@ Every way of running a mining workload — the CLI, the experiment harness,
 * :mod:`~repro.runtime.backends` — the ``Backend`` registry wrapping the
   software engine, the GRAMER cycle simulator, and the Fractal/RStream
   baseline models behind one ``run(JobSpec) -> JobResult`` interface;
-* :class:`~repro.runtime.executor.Executor` — inline or process-pool
-  fan-out with per-job failure capture, retry rounds, and deterministic
-  ordering;
+* :class:`~repro.runtime.executor.Executor` — inline runs or forked
+  claim/lease sweep workers (:mod:`~repro.runtime.worker`), with per-job
+  failure capture, worker replacement, and deterministic ordering;
 * :mod:`~repro.runtime.cache` — the content-addressed artifact cache
   memoizing proxy graphs, ON1 rankings, and completed job results, with
   checksum-verified disk entries and quarantine on corruption;

@@ -15,8 +15,7 @@ these helpers and builds :class:`~repro.runtime.spec.JobSpec`\\ s.
 Graphs are addressed through the content-addressed
 :class:`~repro.graph.store.GraphStore`: :func:`resolve_graph` opens
 memory-mapped artifacts (registry proxies via the dataset registry,
-edge-list files via :meth:`GraphStore.import_edge_list`), the executor
-primes workers with store digests (:func:`prime_graph_digest`) so warm
+edge-list files via :meth:`GraphStore.import_edge_list`), so sweep
 workers attach to already-materialized artifacts through the page cache,
 and ON1 rank permutations are content-addressed by the same digest
 (:func:`cached_vertex_rank`) — computed once ever per graph, never
@@ -39,13 +38,12 @@ from repro.accel.sim import (
     SimResult,
     make_simulator,
 )
-from repro.obs.log import get_logger
 from repro.baselines.cpu import CPUConfig
 from repro.baselines.fractal import BaselineResult, FractalModel
 from repro.baselines.rstream import RStreamModel
 from repro.graph.csr import CSRGraph
 from repro.graph.reorder import rank_permutation
-from repro.graph.store import GraphArtifactError, default_graph_store
+from repro.graph.store import default_graph_store
 from repro.locality.occurrence import occurrence_numbers
 from repro.mining.apps import make_app
 from repro.mining.apps.base import Application
@@ -58,7 +56,6 @@ if TYPE_CHECKING:
     from repro.obs.access import AccessTrace
     from repro.obs.hooks import SimInstrument
 
-_log = get_logger("runtime.backends")
 
 __all__ = [
     "Backend",
@@ -68,7 +65,6 @@ __all__ = [
     "build_app",
     "resolve_graph",
     "graph_digest_for",
-    "prime_graph_digest",
     "cached_vertex_rank",
     "register_backend",
     "get_backend",
@@ -133,41 +129,14 @@ def _make_app_for(spec: JobSpec) -> Application:
     return make_app(spec.app)
 
 
-#: Digests primed by the executor before a worker runs a spec: the worker
-#: attaches straight to the already-materialized artifact (page-cache warm)
-#: instead of re-resolving its source.  Keyed by the frozen ``JobSpec``.
-_PRIMED_GRAPH_DIGESTS: dict[JobSpec, str] = {}
-
-
-def prime_graph_digest(spec: JobSpec, digest: str | None) -> None:
-    """Pre-bind ``spec`` to a store digest (``None`` clears the binding)."""
-    if digest is None:
-        _PRIMED_GRAPH_DIGESTS.pop(spec, None)
-    else:
-        _PRIMED_GRAPH_DIGESTS[spec] = digest
-
-
 def resolve_graph(spec: JobSpec, needs_labels: bool) -> CSRGraph:
     """Open the spec's graph, memory-mapped from the graph store.
 
-    Every route lands on a store artifact: a digest primed by the
-    executor is opened directly; an edge-list file is imported (parsed at
-    most once per file content); a registry proxy goes through the
-    store-materialized dataset registry.  A primed digest whose artifact
-    has gone missing or corrupt degrades to re-resolving the source — the
-    store quarantines the bad artifact and the graph is rebuilt.
+    Every route lands on a store artifact: an edge-list file is imported
+    (parsed at most once per file content); a registry proxy goes through
+    the store-materialized dataset registry.
     """
     store = default_graph_store()
-    primed = _PRIMED_GRAPH_DIGESTS.get(spec)
-    if primed is not None:
-        try:
-            return store.open(primed)
-        except GraphArtifactError as exc:
-            _log.warning(
-                "primed graph artifact unavailable (%s); re-resolving %s",
-                exc,
-                spec.label(),
-            )
     if spec.graph_path is not None:
         return store.open(store.import_edge_list(spec.graph_path))
     from repro.experiments import datasets
@@ -180,10 +149,8 @@ def resolve_graph(spec: JobSpec, needs_labels: bool) -> CSRGraph:
 def graph_digest_for(spec: JobSpec) -> str:
     """Materialize the spec's graph in the store; return its digest.
 
-    The executor calls this in the parent before fanning a sweep out, so
-    pool workers inherit warm artifacts (and the FSM threshold probe runs
-    once, not once per worker).  Store-backed graphs carry their digest
-    from the artifact header, so this never re-hashes arrays.
+    Store-backed graphs carry their digest from the artifact header, so
+    this never re-hashes arrays.
     """
     app = _make_app_for(spec)
     return resolve_graph(spec, app.needs_labels).content_digest()

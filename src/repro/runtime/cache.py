@@ -12,7 +12,7 @@ module memoizes all three behind one interface:
   (``~/.cache/gramer-repro/<kind>/<hash>.pkl`` by default, overridable via
   the ``GRAMER_CACHE_DIR`` environment variable), so repeated calls inside
   one process are free and repeated runs across processes — including
-  :class:`~repro.runtime.executor.Executor` pool workers — skip
+  the :class:`~repro.runtime.executor.Executor`'s sweep workers — skip
   regeneration entirely;
 * disk failures are never fatal: the cache degrades to recomputing.
 
@@ -280,6 +280,10 @@ class ArtifactCache:
                     return True, value
         self.stats.misses += 1
         return False, None
+
+    def remember(self, kind: str, key: Any, value: Any) -> None:
+        """Keep ``value`` in the memory tier only (disk is untouched)."""
+        self._remember((kind, self.digest(key)), value)
 
     def store(self, kind: str, key: Any, value: Any) -> None:
         """Remember ``value`` in memory and (best-effort) on disk."""

@@ -1,12 +1,12 @@
 """Fault injection for the execution runtime — the chaos harness.
 
-The resilience layer (retry, pool replacement, ledger resume, cache
+The resilience layer (retry, worker replacement, ledger resume, cache
 quarantine) only earns trust if its recovery paths are *exercised*, not
 just written.  This module injects four deterministic fault kinds into
 job execution:
 
 * ``kill`` — the worker process SIGKILLs itself mid-job (models an OOM
-  kill; breaks the whole pool, which the executor must replace);
+  kill; the executor must drop its claim and start a replacement);
 * ``hang`` — the job sleeps past its timeout (models a livelock; the
   executor must fail/retry it without reaping healthy siblings);
 * ``raise`` — the job raises :class:`InjectedFaultError` (an ``OSError``
@@ -24,7 +24,7 @@ job execution:
   finishes as a benign, byte-identical duplicate).
 
 Faults are described by a :class:`FaultPlan` — a frozen, picklable value
-that crosses into pool workers — and each :class:`FaultSpec` names the
+that sweep workers inherit — and each :class:`FaultSpec` names the
 *attempt number* it fires on, so a fault plan is a deterministic script:
 ``raise@1`` fails the first attempt and lets the retry succeed.  Plans
 come from ``Executor(faults=...)`` or the ``GRAMER_FAULTS`` environment

@@ -267,6 +267,22 @@ class ClaimStore:
             return False
         return True
 
+    def drop(self, digest: str, worker: str) -> bool:
+        """Remove ``worker``'s claim on ``digest`` without a lease wait.
+
+        For a supervisor that saw ``worker`` die: no owner is left to
+        release the claim.  A claim held by anyone else is left alone.
+        """
+        path = self.path_for(digest)
+        held = self._read(path)
+        if held is None or held.get("worker") != worker:
+            return False
+        try:
+            path.unlink(missing_ok=True)
+        except OSError:
+            return False
+        return True
+
     def holder(self, digest: str) -> dict[str, Any] | None:
         """The current claim record for ``digest`` (diagnostics)."""
         return self._read(self.path_for(digest))

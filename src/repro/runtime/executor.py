@@ -1,38 +1,36 @@
-"""The job executor: inline or process-pool fan-out over ``JobSpec`` lists.
+"""The job executor: one ``run`` over ``JobSpec`` lists, inline or on workers.
 
 One call — :meth:`Executor.run` — takes an ordered list of
 :class:`~repro.runtime.spec.JobSpec` and returns the matching ordered list
 of :class:`~repro.runtime.spec.JobResult`:
 
 * ``jobs=1`` (the default; overridable per-process via the ``GRAMER_JOBS``
-  environment variable) executes inline, exactly like the old serial loops;
-* ``jobs=N`` fans uncached specs out over a
-  :class:`concurrent.futures.ProcessPoolExecutor` while results are
-  collected **in submission order**, so output is deterministic regardless
-  of worker count or completion order;
-* a job that raises is captured as a failed ``JobResult`` (``ok=False``,
-  ``error`` set) instead of aborting the sweep — one poisoned cell never
-  kills its siblings;
-* **transient** failures (pool/pickling breakage, timeouts, ``OSError``)
-  are retried under a :class:`~repro.runtime.retry.RetryPolicy` with
-  deterministic seeded backoff — in-process failures retry inside
-  ``run_spec``; worker deaths and timeouts retry at the executor level in
-  fresh-pool rounds.  **Permanent** failures (backend ``ValueError``,
-  assertions) fail on the first attempt.  ``JobResult.retries`` counts the
-  failed attempts either way;
-* ``timeout_s`` caps how long the collector waits on any single job in
-  pool mode.  A timeout fails (or requeues) only that job: in-flight
-  siblings in the same pool run to completion, and the stuck worker is
-  reaped when the round's survivors have finished — one hung cell no
-  longer cancels the sweep;
-* a ``KeyboardInterrupt`` shuts down cleanly: pool workers are
-  terminated, the run ledger (when attached) is flushed so a later
-  ``--resume`` skips everything that completed, and the interrupt
-  propagates to the caller;
+  environment variable) with no ledger runs inline, as do hooked runs
+  (``instrument=``, ``access_traces=``), whose hooks hold live objects;
+  ``jobs=1`` with a ledger runs one
+  :class:`~repro.runtime.worker.SweepWorker` in this process, and
+  ``jobs=N`` forks ``min(N, pending)`` of them
+  (:func:`~repro.runtime.worker.run_fleet`) over the caller's ledger or a
+  temporary one.  Results are reported **in spec order** at any width;
+* a sweep with a ledger starts at its **run boundary** (the ledger's
+  length now): cells recorded ``ok`` before it whose artifacts still
+  verify come back as ledger stubs (``detail={"resumed": True}``) and
+  earlier failures re-run, so ``--resume`` is ``--ledger`` on a ledger
+  with history (docs/resilience.md §2);
+* a job that raises is captured as a failed ``JobResult`` instead of
+  aborting the sweep — one poisoned cell never kills its siblings;
+* **transient** failures retry under a
+  :class:`~repro.runtime.retry.RetryPolicy` with deterministic seeded
+  backoff inside ``run_spec``; a worker that dies, or that the parent
+  kills because its cell outlived ``timeout_s`` (``jobs > 1`` only),
+  costs that cell one attempt and is replaced.  **Permanent** failures
+  fail on the first attempt.  ``JobResult.retries`` counts the failed
+  attempts either way;
+* a ``KeyboardInterrupt`` shuts down cleanly: claims are released or
+  dropped, the ledger is flushed so a later ``--resume`` skips everything
+  that completed, and the interrupt propagates to the caller;
 * completed ``JobResult``\\ s are memoized in the artifact cache (keyed by
-  the spec's content hash), so re-running a sweep only recomputes changed
-  cells.  Failed results are never cached — transient errors should not
-  poison future runs;
+  the spec's content hash); failed results are never cached;
 * ``faults`` (or ``$GRAMER_FAULTS``) attaches a chaos
   :class:`~repro.runtime.chaos.FaultPlan`; see ``docs/resilience.md``.
 """
@@ -40,17 +38,17 @@ of :class:`~repro.runtime.spec.JobResult`:
 from __future__ import annotations
 
 import os
+import tempfile
 import time
-from concurrent import futures as _futures
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.obs.access import AccessTrace, AccessTraceSet
 from repro.obs.hooks import SimInstrument, emit_job_event, emit_job_retry
 from repro.obs.log import get_logger
 from repro.obs.tracer import Tracer
 
-from .backends import get_backend, graph_digest_for, prime_graph_digest
+from .backends import get_backend, graph_digest_for
 from .cache import JOB_KIND, ArtifactCache, default_cache
 from .chaos import (
     FaultPlan,
@@ -58,8 +56,14 @@ from .chaos import (
     apply_cache_corruption,
     apply_pre_run_faults,
 )
-from .ledger import RunLedger
-from .retry import DEFAULT_RETRY, RetryPolicy, is_transient
+from .ledger import (
+    LedgerEntry,
+    RunLedger,
+    ledger_length,
+    load_ledger,
+    spec_digest,
+)
+from .retry import DEFAULT_RETRY, RetryPolicy
 from .spec import JobResult, JobSpec, failed_result
 
 __all__ = ["Executor", "run_spec", "resolve_jobs"]
@@ -106,8 +110,8 @@ def run_spec(
     :class:`JobResult`.  Transient failures (see
     :func:`~repro.runtime.retry.classify_error`) are retried in-process
     up to ``retry.max_attempts`` total attempts with deterministic
-    backoff; ``first_attempt`` offsets the attempt numbering when the
-    executor resubmits a job whose earlier attempts died with their
+    backoff; ``first_attempt`` offsets the attempt numbering when a sweep
+    worker takes over a cell whose earlier attempts died with their
     worker process.
 
     With ``instrument`` the cache is bypassed entirely — a trace only
@@ -197,48 +201,40 @@ def run_spec(
     return result
 
 
-def _pool_worker(
-    spec: JobSpec,
-    use_cache: bool,
-    cache_root: str,
-    cache_use_disk: bool,
-    retry: RetryPolicy,
-    faults: FaultPlan,
-    graph_digest: str | None,
-    first_attempt: int,
-) -> JobResult:
-    """Top-level (picklable) entry point for pool workers.
+def _open_graphs(specs: Sequence[JobSpec]) -> None:
+    """Open each spec's graph here, once, so forked workers inherit it.
 
-    Reconstructs the parent's cache from its root so job results land in
-    the same store the parent (and future runs) will read.
-    ``graph_digest`` is the spec's graph-store address, materialized by
-    the parent before fan-out: the worker attaches to the artifact as a
-    read-only memory map (warm in the page cache) instead of pickling,
-    re-parsing, or regenerating the graph.  The retry policy and fault
-    plan ride along as frozen values; ``first_attempt`` keeps attempt
-    numbering monotonic across worker deaths.
+    A graph that fails to open is left to the worker, whose run reports
+    the error as that cell's failed result.
     """
-    cache = ArtifactCache(root=Path(cache_root), use_disk=cache_use_disk)
-    prime_graph_digest(spec, graph_digest)
-    return run_spec(
-        spec,
-        use_cache=use_cache,
-        cache=cache,
-        retry=retry,
-        faults=faults,
-        first_attempt=first_attempt,
+    for spec in specs:
+        try:
+            graph_digest_for(spec)
+        except Exception as exc:  # noqa: BLE001 - the cell reports it
+            _log.debug("graph prewarm failed for %s: %s", spec.label(), exc)
+
+
+def _from_ledger(spec: JobSpec, entry: LedgerEntry | None) -> JobResult:
+    """A cell's recorded outcome, reported without recomputing it."""
+    if entry is None or not entry.completed:
+        error = entry.error if entry is not None else None
+        return failed_result(
+            spec, error or "ChildProcessError: no sweep worker finished it"
+        )
+    return JobResult(
+        spec=spec,
+        system=entry.system or spec.backend,
+        ok=True,
+        seconds=entry.seconds,
+        energy_j=entry.energy_j,
+        detail={"resumed": True},
+        cached=True,
+        retries=entry.retries,
     )
 
 
-def _reap_pool(pool: _futures.ProcessPoolExecutor) -> None:
-    """Shut a pool down without waiting, terminating its processes."""
-    pool.shutdown(wait=False, cancel_futures=True)
-    for proc in list((getattr(pool, "_processes", None) or {}).values()):
-        proc.terminate()
-
-
 class Executor:
-    """Run lists of job specs inline or across a process pool."""
+    """Run lists of job specs inline or on claim/lease sweep workers."""
 
     def __init__(
         self,
@@ -250,6 +246,7 @@ class Executor:
         retry: RetryPolicy | None = None,
         faults: FaultPlan | None = None,
         ledger: RunLedger | None = None,
+        lease_s: float = 30.0,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
         self.timeout_s = timeout_s
@@ -259,6 +256,7 @@ class Executor:
         self.retry = retry if retry is not None else DEFAULT_RETRY
         self.faults = faults if faults is not None else active_fault_plan()
         self.ledger = ledger
+        self.lease_s = lease_s
 
     def _trace_result(self, result: JobResult) -> None:
         tracer = self.tracer
@@ -317,259 +315,146 @@ class Executor:
             )
         total = len(specs)
         results: list[JobResult | None] = [None] * total
+        reported = 0
 
-        def note(result: JobResult, index: int) -> None:
+        def note(index: int, result: JobResult, record: bool) -> None:
+            """Take a result; ledger it if ``record``; report in spec order."""
+            nonlocal reported
             results[index] = result
-            self._trace_result(result)
-            if self.ledger is not None:
+            if record and self.ledger is not None:
                 self.ledger.job_finished(result)
-            if progress is not None:
-                progress(result, index, total)
-
-        def ledger_start(index: int, attempt: int) -> None:
-            if self.ledger is not None:
-                self.ledger.job_started(specs[index], attempt)
+            while reported < total:
+                ready = results[reported]
+                if ready is None:
+                    break
+                self._trace_result(ready)
+                if progress is not None:
+                    progress(ready, reported, total)
+                reported += 1
 
         if self.ledger is not None:
             self.ledger.sweep_started(total)
-
+        hooked = instrument is not None or access_traces is not None
         try:
-            if instrument is not None:
+            if hooked or (self.jobs <= 1 and self.ledger is None):
                 for index, spec in enumerate(specs):
-                    ledger_start(index, 1)
-                    note(
-                        run_spec(
-                            spec,
-                            False,
-                            self.cache,
-                            instrument=instrument,
-                            retry=self.retry,
-                            faults=self.faults,
-                        ),
-                        index,
+                    trace = (
+                        access_traces.open(
+                            spec.label(),
+                            backend=spec.backend,
+                            app=spec.app,
+                            graph=spec.graph_name,
+                            scale=spec.scale,
+                        )
+                        if access_traces is not None
+                        else None
                     )
-                return [r for r in results if r is not None]
-
-            if access_traces is not None:
-                for index, spec in enumerate(specs):
-                    ledger_start(index, 1)
-                    trace = access_traces.open(
-                        spec.label(),
-                        backend=spec.backend,
-                        app=spec.app,
-                        graph=spec.graph_name,
-                        scale=spec.scale,
+                    if self.ledger is not None:
+                        self.ledger.job_started(spec, 1)
+                    result = run_spec(
+                        spec,
+                        self.use_cache,
+                        self.cache,
+                        instrument=instrument,
+                        retry=self.retry,
+                        faults=self.faults,
+                        access_trace=trace,
                     )
-                    note(
-                        run_spec(
-                            spec,
-                            False,
-                            self.cache,
-                            retry=self.retry,
-                            faults=self.faults,
-                            access_trace=trace,
-                        ),
-                        index,
-                    )
-                return [r for r in results if r is not None]
-
-            pending: list[int] = []
-            for index, spec in enumerate(specs):
-                if self.use_cache:
-                    hit, value = self.cache.lookup(JOB_KIND, spec.cache_key())
-                    if hit and isinstance(value, JobResult):
-                        _log.debug("cache hit %s", spec.label())
-                        note(value.as_cached(), index)
-                        continue
-                pending.append(index)
-
-            if not pending:
-                return [r for r in results if r is not None]
-
-            solo_without_timeout = len(pending) == 1 and self.timeout_s is None
-            if self.jobs <= 1 or solo_without_timeout:
-                for index in pending:
-                    ledger_start(index, 1)
-                    note(
-                        run_spec(
-                            specs[index],
-                            self.use_cache,
-                            self.cache,
-                            retry=self.retry,
-                            faults=self.faults,
-                        ),
-                        index,
-                    )
-                return [r for r in results if r is not None]
-
-            self._run_pool(specs, pending, note, ledger_start)
-            return [r for r in results if r is not None]
+                    note(index, result, True)
+            else:
+                self._run_workers(specs, results, note)
         except KeyboardInterrupt:
             # Clean shutdown contract: whatever completed is durably in
             # the ledger; `gramer sweep --resume` picks up from here.
             if self.ledger is not None:
                 self.ledger.flush()
-            _log.warning("interrupted; ledger flushed, workers terminated")
+            _log.warning("interrupted; ledger flushed, workers stopped")
             raise
+        return [r for r in results if r is not None]
 
-    def _prewarm_graphs(
-        self, specs: Sequence[JobSpec], pending: list[int]
-    ) -> dict[int, str]:
-        """Materialize each pending spec's graph once, in the parent.
-
-        Returns ``{spec index: store digest}``; pool workers attach to
-        the already-materialized artifacts through the OS page cache
-        instead of regenerating or re-parsing per job.  Prewarm failures
-        are non-fatal and merely unprimed: the worker re-resolves the
-        graph itself, and any real defect surfaces as that job's own
-        failed result.
-        """
-        digest_map: dict[int, str] = {}
-        for index in pending:
-            spec = specs[index]
-            try:
-                digest_map[index] = graph_digest_for(spec)
-            except Exception as exc:  # noqa: BLE001 - failure isolation
-                _log.warning(
-                    "graph prewarm failed for %s (%s: %s); "
-                    "the worker will resolve it",
-                    spec.label(),
-                    type(exc).__name__,
-                    exc,
-                )
-        return digest_map
-
-    def _run_pool(
+    def _run_workers(
         self,
         specs: Sequence[JobSpec],
-        pending: list[int],
-        note: Callable[[JobResult, int], None],
-        ledger_start: Callable[[int, int], None],
+        results: list[JobResult | None],
+        note: Callable[[int, JobResult, bool], None],
     ) -> None:
-        """Fan ``pending`` out over fresh-pool retry rounds.
+        """Settle, look up, then run the rest on sweep workers."""
+        # Lazy: worker.py imports run_spec from this module.
+        from .worker import SweepWorker, run_fleet, settle
 
-        Round semantics: every queued job is submitted to one pool and
-        collected in submission order.  A timed-out or worker-killed job
-        is requeued (while its retry budget lasts) without disturbing
-        siblings still running in the same pool; the pool is reaped —
-        stuck workers terminated — only after all of the round's
-        survivors have been collected, then the next round starts with a
-        brand-new pool.
-        """
-        policy = self.retry
-        attempts: dict[int, int] = {index: 0 for index in pending}
-        digest_map = self._prewarm_graphs(specs, pending)
-        queue = list(pending)
-        while queue:
-            workers = min(self.jobs, len(queue))
-            pool = _futures.ProcessPoolExecutor(max_workers=workers)
-            next_queue: list[int] = []
-            pool_dirty = False
-
-            def requeue_or_fail(
-                index: int, error: str, wall: float = 0.0
-            ) -> None:
-                attempts[index] += 1
-                if attempts[index] < policy.max_attempts and is_transient(
-                    error
-                ):
-                    self._trace_retry(specs[index], attempts[index], error)
-                    _log.warning(
-                        "transient pool failure %s attempt %d (%s); "
-                        "will retry in a fresh pool",
-                        specs[index].label(),
-                        attempts[index],
-                        error,
-                    )
-                    next_queue.append(index)
-                else:
-                    note(
-                        failed_result(
-                            specs[index],
-                            error,
-                            wall_seconds=wall,
-                            retries=attempts[index] - 1,
-                        ),
-                        index,
-                    )
-
-            try:
-                submitted = []
-                for index in queue:
-                    ledger_start(index, attempts[index] + 1)
-                    submitted.append(
-                        (
-                            index,
-                            pool.submit(
-                                _pool_worker,
-                                specs[index],
-                                self.use_cache,
-                                str(self.cache.root),
-                                self.cache.use_disk,
-                                policy,
-                                self.faults,
-                                digest_map.get(index),
-                                attempts[index] + 1,
-                            ),
-                        )
-                    )
-                for index, future in submitted:
-                    spec = specs[index]
-                    try:
-                        result = future.result(timeout=self.timeout_s)
-                    except _futures.TimeoutError:
-                        # Fail/requeue only this job; siblings already in
-                        # flight keep their workers.  The stuck process is
-                        # reaped when the round ends.
-                        future.cancel()
-                        pool_dirty = True
-                        requeue_or_fail(
-                            index,
-                            f"TimeoutError: job exceeded {self.timeout_s}s",
-                        )
+        with tempfile.TemporaryDirectory(prefix="gramer-sweep-") as scratch:
+            path = (
+                self.ledger.path
+                if self.ledger is not None
+                else Path(scratch) / "ledger.jsonl"
+            )
+            boundary = ledger_length(path)
+            verify = self.use_cache and self.cache.use_disk
+            settled = settle(
+                specs,
+                load_ledger(path, boundary),
+                self.cache if verify else None,
+            )
+            pending: list[int] = []
+            for index, spec in enumerate(specs):
+                entry = settled.get(spec_digest(spec))
+                if entry is not None:
+                    note(index, _from_ledger(spec, entry), False)
+                    continue
+                if self.use_cache:
+                    hit, value = self.cache.lookup(JOB_KIND, spec.cache_key())
+                    if hit and isinstance(value, JobResult):
+                        note(index, value.as_cached(), True)
                         continue
-                    except KeyboardInterrupt:
-                        raise
-                    except Exception as exc:  # pool/pickling breakage
-                        if isinstance(exc, _futures.BrokenExecutor):
-                            pool_dirty = True
-                        requeue_or_fail(index, f"{type(exc).__name__}: {exc}")
-                        continue
-                    # Mirror the worker's disk entry into this process's
-                    # memory tier so later same-process lookups are free.
-                    attempts[index] = result.retries + 1
-                    if self.use_cache and result.ok:
-                        key = spec.cache_key()
-                        self.cache.store(JOB_KIND, key, result)
-                        apply_cache_corruption(
-                            self.faults,
-                            self.cache,
-                            JOB_KIND,
-                            key,
-                            spec.label(),
-                            attempts[index],
-                        )
-                    note(result, index)
-            except KeyboardInterrupt:
-                _reap_pool(pool)
-                raise
-            finally:
-                if pool_dirty:
-                    # Don't wait on stuck workers; reap them so a hung
-                    # cell cannot outlive its round.
-                    _reap_pool(pool)
-                else:
-                    pool.shutdown(wait=True)
+                pending.append(index)
+            if not pending:
+                return
 
-            if next_queue:
-                delay = max(
-                    policy.delay_s(attempts[i], token=specs[i].label())
-                    for i in next_queue
+            def deliver(position: int, result: JobResult) -> None:
+                index = pending[position]
+                if self.use_cache and result.ok:
+                    self.cache.remember(
+                        JOB_KIND, specs[index].cache_key(), result
+                    )
+                note(index, result, False)
+
+            def report(message: tuple[Any, Any]) -> None:
+                if message[0] != "start":
+                    position, result = message
+                    deliver(position, result)
+
+            worker = SweepWorker(
+                [specs[index] for index in pending],
+                path,
+                f"{path}.claims",
+                "w1",
+                cache=self.cache,
+                lease_s=self.lease_s,
+                retry=self.retry,
+                faults=self.faults,
+                boundary=boundary,
+                use_cache=self.use_cache,
+                settled={},
+            )
+            if self.jobs <= 1:
+                worker.run(report=report)
+            else:
+                _open_graphs(worker.specs)
+                run_fleet(
+                    worker,
+                    self.jobs,
+                    deliver,
+                    timeout_s=self.timeout_s,
+                    on_retry=lambda position, attempt, error: (
+                        self._trace_retry(
+                            specs[pending[position]], attempt, error
+                        )
+                    ),
                 )
-                _log.warning(
-                    "retry round: %d job(s) resubmitted after %.3fs backoff",
-                    len(next_queue),
-                    delay,
-                )
-                time.sleep(delay)
-            queue = next_queue
+            # Cells a worker outside this run finished: the ledger has them.
+            missing = [index for index in pending if results[index] is None]
+            after = load_ledger(path, boundary).after if missing else {}
+            for index in missing:
+                spec = specs[index]
+                entry = after.get(spec_digest(spec))
+                note(index, _from_ledger(spec, entry), False)

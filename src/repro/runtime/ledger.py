@@ -1,20 +1,26 @@
 """Crash-safe run ledger: an append-only JSONL journal of sweep progress.
 
-Every job the :class:`~repro.runtime.executor.Executor` touches leaves two
-records in the ledger — a ``start`` line when the attempt is handed to a
-worker and a ``finish`` line when its outcome is known — each a single
-JSON object on its own line.  Lines are written with one ``write()`` call
-on an append-mode handle (atomic at the OS level for sane line sizes) and
+Every cell a sweep worker (:mod:`repro.runtime.worker`) runs leaves two
+records in the ledger — a ``start`` line when the attempt begins and a
+``finish`` line when its outcome is known — each a single JSON object on
+its own line.  Lines are written with one ``write()`` call on an
+append-mode handle (atomic at the OS level for sane line sizes) and
 ``finish`` records are fsync'd, so a crash, OOM kill, or ^C loses at most
 the in-flight attempt, never completed history.
 
 Jobs are keyed by their **spec digest** (:func:`spec_digest` — the stable
 content hash of the spec, independent of cache versioning), which is what
-makes resumption safe: ``gramer sweep --resume <ledger>`` rebuilds the
-same spec grid, skips every digest the ledger shows as ``ok``, and re-runs
-failed or interrupted (started-but-never-finished) cells.  The ``finish``
+makes resumption safe.  A run that appends to an existing ledger reads it
+through a **run boundary**: the file's byte length when the run started
+(:func:`ledger_length`).  :func:`load_ledger` reports, per digest, the
+last outcome before the boundary (earlier runs), the last outcome after
+it (this run), and the ``start`` records after it (this run's attempts).
+Earlier ``ok`` cells are skipped once their artifact verifies, earlier
+failures and interrupted cells re-run, and outcomes written during the
+run are final for it — so ``gramer sweep --resume <ledger>`` is just
+``--ledger`` on a ledger that already has history.  The ``finish``
 record carries enough of the outcome (modeled seconds, energy, system,
-retries) to render resumed cells in reports without recomputing them.
+retries) to render skipped cells in reports without recomputing them.
 
 A truncated final line — the signature of a crash mid-write — is tolerated
 on load and reported, not fatal.  See ``docs/resilience.md``.
@@ -40,6 +46,7 @@ __all__ = [
     "LedgerState",
     "LedgerVersionError",
     "RunLedger",
+    "ledger_length",
     "load_ledger",
     "spec_digest",
 ]
@@ -102,7 +109,12 @@ class ClaimRecord:
 
 @dataclass
 class LedgerState:
-    """Parsed view of a ledger file: final status per digest."""
+    """Parsed view of a ledger file: final status per digest.
+
+    ``before`` and ``after`` split the ``finish`` outcomes at the run
+    boundary handed to :func:`load_ledger` (the last one per digest on
+    each side); ``starts_after`` counts the ``start`` records after it.
+    """
 
     entries: dict[str, LedgerEntry] = field(default_factory=dict)
     attempts: dict[str, int] = field(default_factory=dict)
@@ -110,16 +122,19 @@ class LedgerState:
     claims: list[ClaimRecord] = field(default_factory=list)
     finish_counts: dict[str, int] = field(default_factory=dict)
     version: int | None = None
+    before: dict[str, LedgerEntry] = field(default_factory=dict)
+    after: dict[str, LedgerEntry] = field(default_factory=dict)
+    starts_after: dict[str, int] = field(default_factory=dict)
 
     def completed_digests(self) -> set[str]:
         return {d for d, e in self.entries.items() if e.completed}
 
     def terminal_digests(self) -> set[str]:
-        """Digests with a recorded outcome, ok *or* failed.
+        """Digests whose last recorded outcome is ok *or* failed.
 
-        Distributed workers treat a failed cell as terminal for the run
-        (``run_spec`` already spent its transient-retry budget); only
-        started-but-never-finished cells are re-claimable.
+        This is the whole-file view; sweep workers decide per run instead
+        (``before``/``after``): a failure recorded during the run is
+        final for it, one recorded before it re-runs.
         """
         return {
             d for d, e in self.entries.items() if e.status in ("ok", "failed")
@@ -250,29 +265,49 @@ class RunLedger:
         )
 
 
-def _iter_records(path: Path) -> Iterator[tuple[dict[str, Any] | None, str]]:
-    with open(path, "r", encoding="utf-8") as handle:
+def ledger_length(path: str | Path) -> int:
+    """The ledger's byte length now: a run boundary (0 if absent)."""
+    try:
+        return Path(path).stat().st_size
+    except FileNotFoundError:
+        return 0
+
+
+def _iter_records(
+    path: Path,
+) -> Iterator[tuple[int, dict[str, Any] | None, str]]:
+    """``(byte offset, record or None, stripped line)`` per non-blank line."""
+    offset = 0
+    with open(path, "rb") as handle:
         for raw in handle:
-            stripped = raw.strip()
+            start = offset
+            offset += len(raw)
+            stripped = raw.decode("utf-8", errors="replace").strip()
             if not stripped:
                 continue
             try:
                 record = json.loads(stripped)
             except json.JSONDecodeError:
-                yield None, stripped
+                yield start, None, stripped
                 continue
             if isinstance(record, dict):
-                yield record, stripped
+                yield start, record, stripped
             else:
-                yield None, stripped
+                yield start, None, stripped
 
 
-def load_ledger(path: str | Path) -> LedgerState:
+def load_ledger(path: str | Path, boundary: int | None = None) -> LedgerState:
     """Replay a ledger file into its final per-digest state.
 
     Later records win (a re-run overwrites an earlier failure).  Torn or
     garbage lines — a crash mid-write — are counted and skipped, never
     fatal: the matching job simply reads as not-completed and re-runs.
+
+    ``boundary`` is a byte offset (:func:`ledger_length` when a run
+    started): ``finish`` records that begin before it fill ``before``,
+    the rest ``after``, and ``start`` records after it count into
+    ``starts_after``.  ``None`` puts every record before it, the view
+    from outside any run.
 
     Version contract: a ``sweep_start`` header declaring a
     ``ledger_version`` **newer** than :data:`LEDGER_VERSION` raises
@@ -285,7 +320,7 @@ def load_ledger(path: str | Path) -> LedgerState:
     state = LedgerState()
     if not path.exists():
         return state
-    for record, raw in _iter_records(path):
+    for offset, record, raw in _iter_records(path):
         if record is None:
             state.truncated_lines += 1
             _log.warning(
@@ -322,6 +357,10 @@ def load_ledger(path: str | Path) -> LedgerState:
             )
         elif event == "start" and isinstance(digest, str):
             state.attempts[digest] = state.attempts.get(digest, 0) + 1
+            if boundary is not None and offset >= boundary:
+                state.starts_after[digest] = (
+                    state.starts_after.get(digest, 0) + 1
+                )
             if digest not in state.entries or not state.entries[digest].completed:
                 state.entries[digest] = LedgerEntry(
                     digest=digest,
@@ -334,7 +373,7 @@ def load_ledger(path: str | Path) -> LedgerState:
             )
             seconds = record.get("seconds")
             energy = record.get("energy_j")
-            state.entries[digest] = LedgerEntry(
+            entry = state.entries[digest] = LedgerEntry(
                 digest=digest,
                 label=str(record.get("label", "")),
                 status=str(record.get("status", "failed")),
@@ -349,4 +388,8 @@ def load_ledger(path: str | Path) -> LedgerState:
                     else None
                 ),
             )
+            if boundary is not None and offset >= boundary:
+                state.after[digest] = entry
+            else:
+                state.before[digest] = entry
     return state

@@ -5,8 +5,8 @@ A sweep cell can die two ways.  *Permanent* failures — a backend
 :class:`~repro.accel.sim.AncestorBufferOverflowError` — are properties of
 the spec itself: running the same job again produces the same failure, so
 retrying only burns time.  *Transient* failures — a worker OOM-killed
-mid-job (``BrokenProcessPool``), a pickling hiccup, a per-job timeout, any
-``OSError`` — are properties of the *host*, and a second attempt usually
+mid-job (``ChildProcessError`` from the sweep fleet), a pickling hiccup,
+a per-job timeout, any ``OSError`` — are properties of the *host*, and a second attempt usually
 succeeds.  :func:`classify_error` encodes that split; :class:`RetryPolicy`
 bounds attempts and spaces them with exponential backoff whose jitter is
 *seeded* (hash of policy seed, job token, and attempt number), so two runs
@@ -15,16 +15,13 @@ recovery path.
 
 The classifier accepts live exceptions *and* the ``"Type: message"``
 strings a :class:`~repro.runtime.spec.JobResult` carries, because
-pool-level failures (a SIGKILLed worker) surface only as strings in the
+fleet-level failures (a SIGKILLed worker) surface only as strings in the
 parent process.
 """
 
 from __future__ import annotations
 
 import hashlib
-import pickle
-from concurrent.futures import BrokenExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
 
 __all__ = [
@@ -44,24 +41,15 @@ PERMANENT = "permanent"
 # Host-side breakage: retrying is expected to succeed.  ``OSError`` covers
 # the disk/IPC family (BrokenPipeError, ConnectionError, ...); the chaos
 # harness's injected fault derives from OSError so injections are
-# transient by construction.
-_TRANSIENT_TYPES: tuple[type[BaseException], ...] = (
-    OSError,
-    TimeoutError,
-    FuturesTimeoutError,
-    BrokenExecutor,  # includes BrokenProcessPool
-    pickle.PickleError,
-    EOFError,
-    MemoryError,
-)
-
-# String-side classification for error messages crossing process
-# boundaries ("BrokenProcessPool: ...", "TimeoutError: job exceeded 5s").
+# transient by construction.  An exception is transient when any class in
+# its MRO is named here; a message crossing a process boundary ("Type:
+# ...", e.g. "TimeoutError: job exceeded 5s") by its leading name.
 _TRANSIENT_NAMES = frozenset(
     {
         "OSError",
         "IOError",
         "TimeoutError",
+        "ChildProcessError",
         "BrokenProcessPool",
         "BrokenExecutor",
         "PicklingError",
@@ -85,11 +73,10 @@ def classify_error(error: BaseException | str) -> str:
     on a deterministic bug delays the sweep without changing its outcome.
     """
     if isinstance(error, BaseException):
-        if isinstance(error, _TRANSIENT_TYPES):
-            return TRANSIENT
-        return PERMANENT
+        names = {cls.__name__ for cls in type(error).__mro__}
+        return TRANSIENT if names & _TRANSIENT_NAMES else PERMANENT
     name = str(error).split(":", 1)[0].strip()
-    # Qualified names ("concurrent.futures.process.BrokenProcessPool").
+    # Qualified names ("package.module.TypeName") compare by the type name.
     name = name.rsplit(".", 1)[-1]
     return TRANSIENT if name in _TRANSIENT_NAMES else PERMANENT
 

@@ -3,7 +3,8 @@
 This is the contract `gramer check`'s determinism rules (GRM1xx) enforce
 statically, asserted dynamically: every modeled result is a pure function
 of its JobSpec, so two cold back-to-back runs must serialize to the exact
-same bytes — not approximately equal, *identical*.
+same bytes — not approximately equal, *identical* — and so must a cold run
+on two forked sweep workers.
 """
 
 import json
@@ -17,10 +18,10 @@ APPS = ["3-CF", "4-MC"]
 GRAPHS = ["citeseer", "p2p"]
 
 
-def _cold_run_bytes(tmp_path, tag: str) -> bytes:
+def _cold_run_bytes(tmp_path, tag: str, jobs: int = 1) -> bytes:
     """One uncached Table III tiny-grid run, serialized canonically."""
     executor = Executor(
-        jobs=1,
+        jobs=jobs,
         use_cache=False,
         cache=ArtifactCache(root=tmp_path / tag, use_disk=False),
     )
@@ -44,6 +45,7 @@ class TestTableIIIByteDeterminism:
         first = _cold_run_bytes(tmp_path, "first")
         second = _cold_run_bytes(tmp_path, "second")
         assert first == second
+        assert _cold_run_bytes(tmp_path, "wide", jobs=2) == first
 
     def test_rendered_table_is_byte_identical(self, tmp_path):
         tables = [

@@ -12,6 +12,7 @@ from repro.runtime import (
     make_jobspec,
     spec_digest,
 )
+from repro.runtime.ledger import ledger_length
 from repro.runtime.spec import JobResult, failed_result
 
 SPEC_A = make_jobspec("gramer", "3-CF", dataset="citeseer", scale="tiny")
@@ -246,6 +247,54 @@ class TestClaimRecords:
             spec_digest(SPEC_A), spec_digest(SPEC_B),
         }
         assert state.completed_digests() == {spec_digest(SPEC_A)}
+
+
+class TestRunBoundary:
+    """The per-run view a sweep worker decides by (docs/resilience.md §2)."""
+
+    def _two_runs(self, path):
+        """An earlier run (A ok, B failed), then a run that re-runs B."""
+        with RunLedger(path) as ledger:
+            ledger.job_started(SPEC_A, attempt=1)
+            ledger.job_finished(ok_result(SPEC_A))
+            ledger.job_started(SPEC_B, attempt=1)
+            ledger.job_finished(failed_result(SPEC_B, "OSError: flaky"))
+        boundary = ledger_length(path)
+        with RunLedger(path) as ledger:
+            ledger.job_started(SPEC_B, attempt=1)
+            ledger.job_started(SPEC_B, attempt=2)
+            ledger.job_finished(ok_result(SPEC_B, retries=1))
+        return boundary
+
+    def test_outcomes_and_starts_split_at_the_boundary(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        boundary = self._two_runs(path)
+        state = load_ledger(path, boundary)
+        a, b = spec_digest(SPEC_A), spec_digest(SPEC_B)
+        assert state.before[a].completed and a not in state.after
+        assert state.before[b].status == "failed"
+        assert state.after[b].completed and state.after[b].retries == 1
+        assert state.starts_after == {b: 2}
+        # The whole-file view is unchanged by the boundary.
+        assert state.attempts == {a: 1, b: 3}
+        assert state.completed_digests() == {a, b}
+
+    def test_no_boundary_reads_every_record_as_earlier(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        self._two_runs(path)
+        state = load_ledger(path)
+        assert state.after == {} and state.starts_after == {}
+        assert state.before[spec_digest(SPEC_B)].completed
+
+    def test_boundary_zero_reads_every_record_as_this_run(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        assert ledger_length(path) == 0  # a missing ledger
+        self._two_runs(path)
+        state = load_ledger(path, 0)
+        assert state.before == {}
+        assert state.starts_after == {
+            spec_digest(SPEC_A): 1, spec_digest(SPEC_B): 3,
+        }
 
 
 class TestDigests:
