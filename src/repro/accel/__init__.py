@@ -23,7 +23,6 @@ from .sim import (
     SimResult,
     make_simulator,
 )
-from .turbosim import TurboGramerSimulator
 from .stats import SimStats
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "estimate_resources",
     "AncestorBufferOverflowError",
     "GramerSimulator",
-    "TurboGramerSimulator",
     "make_simulator",
     "ENGINES",
     "DEFAULT_ENGINE",

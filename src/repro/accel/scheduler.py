@@ -6,7 +6,8 @@ stack of compacted :class:`~repro.mining.engine.Frame` records (extending
 vertex + offset, Fig. 10).  The *stealing buffer* tracks recently busy slot
 IDs so an idle slot can steal work from a demonstrably busy one instead of
 probing randomly (§V-C's comparison against the LFSR selector of [8]);
-:class:`Stealer` is that steal discipline, shared by every engine.
+:class:`Stealer` is that steal discipline, shared by the simulator and
+its test oracle.
 """
 
 from __future__ import annotations

@@ -95,11 +95,8 @@ _RING = 512
 
 #: Engine choices accepted everywhere an ``engine=`` knob exists.
 #: ``"fast"`` (the default) and ``"reference"`` both name the exact
-#: engine below.  ``"turbo"`` (:mod:`repro.accel.turbosim`) keeps the
-#: mining pass exact but replays timing through a decoupled batched model
-#: — timing fields are within declared tolerance bands of the exact
-#: engine, not byte-equal (docs/turbo.md).
-ENGINES = ("fast", "reference", "turbo")
+#: engine below; a non-default name only changes a cell's cache key.
+ENGINES = ("fast", "reference")
 DEFAULT_ENGINE = "fast"
 
 
@@ -108,9 +105,9 @@ def resolve_vertex_rank(
     vertex_rank: np.ndarray | None,
     use_on1_ranks: bool,
 ) -> np.ndarray:
-    """Resolve the ON1 rank map exactly as the simulators expect it.
+    """Resolve the ON1 rank map exactly as the simulator expects it.
 
-    Shared by both engines so rank validation/derivation cannot drift.
+    Shared with the test oracle so rank validation/derivation cannot drift.
     """
     if vertex_rank is not None:
         resolved = np.asarray(vertex_rank, dtype=np.int64)
@@ -132,31 +129,16 @@ def make_simulator(
     instrument: "SimInstrument | None" = None,
     access_trace: "AccessTrace | None" = None,
 ):
-    """Construct a GRAMER simulator with engine selection.
+    """Construct a GRAMER simulator after validating the engine name.
 
     This is the one supported way to build a simulator outside
     ``repro.accel`` (enforced by ``gramer check`` rule GRM701), so the
-    engine stays a call-site parameter.
-
-    ``engine="turbo"`` returns the decoupled-timing engine: mining counts
-    and exception behaviour stay exact while timing fields are only
-    tolerance-banded against the exact engine
-    (``tests/differential/tolerance.py``).  Turbo has no observability
-    hooks, so a run with an ``instrument`` or an ``access_trace`` gets the
-    exact engine, as do ``"fast"`` and ``"reference"``.
+    engine stays a call-site parameter.  Every name in :data:`ENGINES`
+    builds the same exact engine.
     """
     if engine not in ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {ENGINES}"
-        )
-    if engine == "turbo" and instrument is None and access_trace is None:
-        from .turbosim import TurboGramerSimulator
-
-        return TurboGramerSimulator(
-            graph,
-            config,
-            vertex_rank=vertex_rank,
-            use_on1_ranks=use_on1_ranks,
         )
     return GramerSimulator(
         graph,

@@ -9,8 +9,7 @@ side of Fig. 3's methodology), and load-balance/steal counters (Fig. 13b).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from itertools import zip_longest
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.obs.metrics import MetricsRegistry
@@ -103,34 +102,6 @@ class SimStats:
             value = getattr(self, spec.name)
             out[spec.name] = list(value) if isinstance(value, list) else value
         return out
-
-    @classmethod
-    def merge(cls, runs: Iterable["SimStats"]) -> "SimStats":
-        """Aggregate several runs into one summary ``SimStats``.
-
-        Scalar counters sum.  Per-PU lists add element-wise, padding the
-        shorter list with zeros so runs with different PU counts still
-        merge (``cycles`` then reads as total simulated cycles across
-        runs, not a concurrent makespan — callers wanting a makespan
-        should track it separately).
-        """
-        merged = cls()
-        for run in runs:
-            for spec in fields(cls):
-                ours = getattr(merged, spec.name)
-                theirs = getattr(run, spec.name)
-                if isinstance(ours, list):
-                    setattr(
-                        merged,
-                        spec.name,
-                        [
-                            a + b
-                            for a, b in zip_longest(ours, theirs, fillvalue=0)
-                        ],
-                    )
-                else:
-                    setattr(merged, spec.name, ours + theirs)
-        return merged
 
     def publish(self, registry: "MetricsRegistry") -> None:
         """Publish counters into a metrics registry (labels, not suffixes)."""

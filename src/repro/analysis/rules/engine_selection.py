@@ -1,23 +1,22 @@
 """Engine-selection rules (GRM7xx).
 
-The simulator ships two engines — the exact calendar-queue engine and
-the tolerance-banded turbo tier — behind one factory,
-:func:`repro.accel.sim.make_simulator`.  Constructing ``GramerSimulator``
-directly pins the call site to the exact engine: it silently opts out of
-engine selection (``--engine``, backend params).
+The simulator has one exact engine, built through one factory,
+:func:`repro.accel.sim.make_simulator`, which validates the engine name
+(``"fast"`` or ``"reference"``).  Constructing ``GramerSimulator``
+directly skips that validation and pins the call site: it silently opts
+out of engine selection (``--engine``, backend params).
 
 * ``GRM701`` — direct ``GramerSimulator(...)`` construction outside
-  ``repro/accel/``.  Call ``make_simulator(...)`` instead; it routes
-  hooked runs to the exact engine whatever the engine name.  (Unit tests
-  may still pin a specific engine — ``gramer check`` gates ``src``, not
-  ``tests``.)
+  ``repro/accel/``.  Call ``make_simulator(...)`` instead.  (Unit tests
+  may still construct the engine directly — ``gramer check`` gates
+  ``src``, not ``tests``.)
 * ``GRM702`` — exact ``==``/``!=`` on a ``SimStats`` timing field in
-  turbo context.  Turbo timing is statistical by contract
-  (``docs/turbo.md``): the only sanctioned assertions are the tolerance
-  framework (``tests/differential/tolerance.py``) and the golden
-  envelopes (``tests/experiments/golden/turbo/``).  Mining-count fields
-  stay exact in every engine and are not flagged, nor are
-  ``pytest.approx`` comparisons.
+  turbo context.  It guarded the approximate turbo tier, which has been
+  removed; the rule stays until the benchmark's frozen findings
+  (``perfbench/golden.json``, which pins its hits on the
+  ``bad_turbo_timing.py`` fixture) are re-baselined without it.  Its
+  finding message is kept as the analysis snapshot pins it.
+  Mining-count fields and ``pytest.approx`` comparisons are not flagged.
 """
 
 from __future__ import annotations

@@ -173,8 +173,8 @@ def _sweep_specs(args) -> list:
             )
     # Engine selection only applies to the simulator backend.  The default
     # engine stays out of the spec so artifact-cache keys are unchanged;
-    # a non-default engine (reference, or the tolerance-banded turbo)
-    # rides in params and therefore gets its own cache key.
+    # a non-default engine name rides in params and therefore gets its
+    # own cache key.
     gramer_params = (
         {"engine": args.engine} if args.engine != DEFAULT_ENGINE else None
     )
@@ -845,10 +845,7 @@ def main(argv: list[str] | None = None) -> None:
     simulate.add_argument("--engine", default=DEFAULT_ENGINE,
                           choices=list(ENGINES),
                           help="simulation engine (fast and reference "
-                               "name the exact engine; turbo is "
-                               "tolerance-banded timing with exact mining "
-                               "and no trace hooks, so traced turbo runs "
-                               "use the exact engine)")
+                               "both name the exact engine)")
     simulate.set_defaults(func=_cmd_simulate)
 
     experiment = sub.add_parser("experiment",
@@ -903,8 +900,8 @@ def main(argv: list[str] | None = None) -> None:
     sweep.add_argument("--engine", default=DEFAULT_ENGINE,
                        choices=list(ENGINES),
                        help="simulation engine for gramer cells (fast and "
-                            "reference name the exact engine; turbo keeps "
-                            "mining exact, timing tolerance-banded)")
+                            "reference both name the exact engine; "
+                            "reference gets its own cache key)")
     sweep.add_argument("--lease", type=float, default=30.0, metavar="S",
                        help="claim lease TTL in seconds for the sweep "
                             "workers (claims live at <ledger>.claims); an "
@@ -1032,10 +1029,6 @@ def main(argv: list[str] | None = None) -> None:
                        help="also write one event per line to PATH")
     trace.add_argument("--window", type=int, default=1024,
                        help="timeline window width in cycles")
-    trace.add_argument("--engine", default=DEFAULT_ENGINE,
-                       choices=list(ENGINES),
-                       help="accepted for symmetry; traced runs always use "
-                            "the exact engine")
     trace.set_defaults(func=_cmd_trace)
 
     profile = sub.add_parser(

@@ -11,9 +11,9 @@ ways:
   call the kernel once per candidate;
 * :func:`slot_step` is one GRAMER slot step (§V-B): it advances a
   possibly split :class:`Frame` to its next candidate and runs the kernel
-  on it.  Both simulators (``repro.accel.sim`` and ``.turbosim``) step
-  their slots through it, so slot-level pipelining and work stealing can
-  interleave frames; each engine keeps only its own timing.
+  on it.  The simulator (``repro.accel.sim``) steps its slots through
+  it, so slot-level pipelining and work stealing can interleave frames;
+  the simulator keeps only the timing.
 
 Sharing one kernel guarantees the invariant the whole evaluation rests on:
 all vehicles enumerate the identical embedding set and emit the identical

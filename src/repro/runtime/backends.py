@@ -255,8 +255,7 @@ class GramerBackend:
             vertex_rank = None
 
         start = time.perf_counter()
-        # Engine selection rides in params; hooked runs get the exact
-        # engine from the factory whatever the name.
+        # Engine selection rides in params (and so in the cache key).
         result: SimResult = make_simulator(
             graph,
             cfg,

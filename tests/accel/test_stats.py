@@ -1,4 +1,4 @@
-"""SimStats aggregation helpers: as_dict, merge, registry publication."""
+"""SimStats helpers: as_dict and registry publication."""
 
 import pytest
 
@@ -41,41 +41,6 @@ class TestAsDict:
         dump = stats.as_dict()
         dump["pu_busy_cycles"].append(999)
         assert stats.pu_busy_cycles == [50, 70]
-
-
-class TestMerge:
-    def test_empty_merge_is_zero_stats(self):
-        merged = SimStats.merge([])
-        assert merged == SimStats()
-
-    def test_single_run_merge_is_identity(self):
-        stats = _sample()
-        merged = SimStats.merge([stats])
-        assert merged == stats
-        assert merged is not stats
-
-    def test_multi_run_scalars_sum_and_lists_add_elementwise(self):
-        merged = SimStats.merge([_sample(), _sample(2)])
-        assert merged.cycles == 300
-        assert merged.steals == 6
-        assert merged.edge_high_hits == 60
-        assert merged.pu_busy_cycles == [150, 210]
-
-    def test_mismatched_pu_counts_pad_with_zeros(self):
-        narrow = SimStats(pu_busy_cycles=[10])
-        wide = SimStats(pu_busy_cycles=[1, 2, 3])
-        merged = SimStats.merge([narrow, wide])
-        assert merged.pu_busy_cycles == [11, 2, 3]
-
-    def test_merge_does_not_mutate_inputs(self):
-        a, b = _sample(), _sample()
-        SimStats.merge([a, b])
-        assert a == _sample() and b == _sample()
-
-    def test_derived_ratios_recompute_on_merge(self):
-        merged = SimStats.merge([_sample(), _sample()])
-        assert merged.vertex_hit_ratio == pytest.approx(15 / 16)
-        assert merged.dram_accesses == 6
 
 
 class TestPublish:

@@ -6,9 +6,11 @@ same order: with a :class:`~repro.obs.hooks.SimInstrument`, the same
 tracer JSONL lines, timeline windows and steal latencies; with an
 :class:`~repro.obs.access.AccessTrace`, the same access records.  The
 inputs are ``test_engine_equivalence.py``'s strategies and tiny grid
-subset, with the calendar queue's ring also shrunk to 1, 2 and 8 cycles.
-Small timeline windows make steps straddle window boundaries, so a
-counter charged at the wrong event shows up in a window's delta.
+subset, with the calendar queue's ring also shrunk to 1, 2 and 8 cycles
+(on smaller graphs: a 16-cycle window over a full-size run closes tens
+of thousands of windows).  Small timeline windows make steps straddle
+window boundaries, so a counter charged at the wrong event shows up in
+a window's delta.
 """
 
 import json
@@ -22,6 +24,7 @@ from repro.accel import sim
 from repro.accel.config import GramerConfig
 from repro.accel.sim import DEFAULT_ENGINE
 from repro.experiments import datasets
+from repro.graph import erdos_renyi, powerlaw_cluster, random_labels
 from repro.mining import make_app
 from repro.obs import AccessTrace, SimInstrument, Tracer
 from repro.runtime.backends import build_app
@@ -87,8 +90,28 @@ def test_hooks_identical_on_random_graphs(graph, config, app_name, window):
     assert_traces_agree(graph, config, lambda: make_app(app_name), window)
 
 
+@st.composite
+def small_er_graphs(draw):
+    n = draw(st.integers(6, 16))
+    max_edges = n * (n - 1) // 2
+    m = draw(st.integers(min(n, max_edges), min(2 * n, max_edges)))
+    graph = erdos_renyi(n, m, seed=draw(st.integers(0, 2**16)))
+    return random_labels(graph, draw(st.integers(1, 3)), seed=7)
+
+
+@st.composite
+def small_pl_graphs(draw):
+    graph = powerlaw_cluster(
+        num_vertices=draw(st.integers(10, 18)),
+        edges_per_vertex=2,
+        triad_probability=draw(st.sampled_from([0.1, 0.5])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return random_labels(graph, draw(st.integers(1, 3)), seed=11)
+
+
 @given(
-    st.one_of(er_graphs(), pl_graphs()),
+    st.one_of(small_er_graphs(), small_pl_graphs()),
     configs,
     st.sampled_from(APPS),
     st.sampled_from(RINGS),

@@ -44,6 +44,17 @@ class TestCLI:
               "--app", "3-CF", "--no-stealing"])
         assert "steals 0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_engine_flag_offers_only_the_exact_engine_names(
+        self, command, capsys
+    ):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--engine", "turbo"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'turbo'" in err
+        assert "'fast'" in err and "'reference'" in err
+
     def test_missing_graph_errors(self):
         with pytest.raises(SystemExit):
             main(["mine", "--app", "3-CF"])
