@@ -11,8 +11,8 @@ Layout
     The extension-locality analyses: ON_k occurrence numbers (Eq. 1),
     memory-trace capture, top-x% access-share studies.
 ``repro.memory``
-    Memory substrate: set-associative caches, replacement policies,
-    scratchpads, DRAM/disk models, and the locality-aware memory hierarchy.
+    Memory substrate: the locality-aware memory hierarchy's sizing and
+    counts, and the disk model.
 ``repro.accel``
     The GRAMER accelerator: configuration, cycle-level simulator
     (PUs, slots, ancestor buffers, work stealing), energy / clock /

@@ -74,6 +74,20 @@ class GramerConfig:
             raise ValueError("onchip_entries must be >= 16")
         if self.num_partitions < 1:
             raise ValueError("num_partitions must be >= 1")
+        if (
+            self.cache_ways < 1
+            or self.vertex_line_entries < 1
+            or self.edge_line_entries < 1
+        ):
+            raise ValueError("cache_ways and line entries must be >= 1")
+        if self.tau is not None and not 0.0 < self.tau <= 1.0:
+            raise ValueError(f"tau must be in (0, 1], got {self.tau}")
+        if self.lam < 0:
+            raise ValueError("lam must be >= 0")
+        if self.dram_latency < 0 or self.dram_channels < 1:
+            raise ValueError("dram_latency must be >= 0 and dram_channels >= 1")
+        if self.dram_cycles_per_transfer < 1:
+            raise ValueError("dram_cycles_per_transfer must be >= 1")
         if self.steal_victim_select not in ("stealing_buffer", "random"):
             raise ValueError(
                 "steal_victim_select must be 'stealing_buffer' or 'random'"

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.memory.policies import xorshift32
 from repro.mining.engine import Frame
 
 __all__ = [
@@ -22,7 +21,19 @@ __all__ = [
     "Stealer",
     "split_frame",
     "steal_from_stack",
+    "xorshift32",
 ]
+
+
+def xorshift32(x: int) -> int:
+    """One step of Marsaglia's 13/17/5 xorshift over a nonzero 32-bit state.
+
+    Cheap and deterministic: the LFSR victim selector of [8] draws from it.
+    """
+    x ^= (x << 13) & 0xFFFFFFFF
+    x ^= x >> 17
+    x ^= (x << 5) & 0xFFFFFFFF
+    return x
 
 
 class StealingBuffer:

@@ -30,9 +30,10 @@ Implementation
 * **Flattened memory state.**  Cache sets live in flat tag/rank/last-access
   arrays indexed by ``set * ways + way`` (tag ``-1`` = invalid); hit scans,
   fills and the Equation-2 victim search are inlined over those arrays.
-  Sizing is not re-derived: :func:`~repro.memory.hierarchy.build_hierarchy`
-  runs once per run, the flat model is extracted from the objects it built,
-  and the run's counters are written back into them (``self.hierarchy``).
+  The sets, ways, lines and cutoffs come from one
+  :class:`~repro.memory.hierarchy.LAMHGeometry` per run, and the run's
+  counts become a :class:`~repro.memory.hierarchy.LAMHReport`
+  (``self.hierarchy``) for ``gramer profile``.
 * **Batched slot state.**  Per-slot clocks and recorded-op queues are
   parallel lists indexed by global slot id; work stealing is the shared
   :class:`~repro.accel.scheduler.Stealer`.
@@ -48,7 +49,8 @@ Implementation
 
 ``tests/differential/engine_oracle.py`` keeps the per-event form of this
 model (one heap pop per event, per-PU and per-slot objects, the
-object-model hierarchy) as ``ReferenceSimulator``; the differential suites
+object-model LAMH of ``tests/differential/lamh_oracle.py``) as
+``ReferenceSimulator``; the differential suites
 hold this engine to it on every ``SimStats`` field, mining result,
 exception type, tracer event, timeline window and access-trace record.
 """
@@ -63,9 +65,7 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.graph.reorder import rank_permutation
 from repro.locality.occurrence import occurrence_numbers
-from repro.memory.dram import DRAMModel
-from repro.memory.hierarchy import SideStats, build_hierarchy
-from repro.memory.policies import LocalityPreservedPolicy, LRUPolicy
+from repro.memory.hierarchy import LAMHGeometry, LAMHReport
 from repro.mining.apps.base import Application, MiningResult
 from repro.mining.engine import Frame, slot_step
 
@@ -208,75 +208,40 @@ class GramerSimulator:
         """Execute ``app`` to completion; returns stats + mining results."""
         graph, cfg = self.graph, self.config
 
-        # -- sizing: run the object-model builders once, extract a flat model
-        self.hierarchy = hierarchy = build_hierarchy(
-            graph,
-            total_entries=cfg.onchip_entries,
-            vertex_rank=self.vertex_rank,
-            tau=cfg.tau,
-            low_policy=cfg.low_policy,
-            lam=cfg.lam,
-            ways=cfg.cache_ways,
-            vertex_line=cfg.vertex_line_entries,
-            edge_line=cfg.edge_line_entries,
-        )
-        # Instantiated purely so DRAM parameter validation stays shared.
-        DRAMModel(
-            latency_cycles=cfg.dram_latency,
-            channels=cfg.dram_channels,
-            cycles_per_transfer=cfg.dram_cycles_per_transfer,
-        )
-        v_side = hierarchy.vertex_side
-        e_side = hierarchy.edge_side
-        v_cut = v_side.scratchpad.cutoff
-        e_cut = e_side.scratchpad.cutoff
-        vcache = v_side.low_cache
-        ecache = e_side.low_cache
-        shared = vcache is ecache  # uniform-LRU baseline: one cache, offset edges
+        # -- LAMH geometry -> flat cache state ------------------------------
+        geo = LAMHGeometry.build(cfg, graph, self.vertex_rank)
+        v_cut = geo.vertex_cutoff
+        e_cut = geo.edge_cutoff
+        shared = geo.shared  # uniform-LRU baseline: one cache, offset edges
+        locality = geo.locality
+        lam = geo.lam
+        rank_scale = geo.rank_scale
 
-        policy = vcache.policy
-        if isinstance(policy, LocalityPreservedPolicy):
-            locality = True
-            lam = policy.lam
-            rank_scale = policy.rank_scale
-        elif isinstance(policy, LRUPolicy):
-            locality = False
-            lam = rank_scale = 0.0
-        else:  # pragma: no cover - build_hierarchy only emits the two above
-            raise TypeError(
-                f"the simulator cannot replicate policy {policy.name!r}"
-            )
-
-        ways = vcache.ways
-        v_sets = vcache.num_sets
-        v_line = vcache.line_size
+        ways = geo.ways
+        v_sets = geo.vertex_sets
+        v_line = geo.vertex_line
         v_tags = [-1] * (v_sets * ways)
         v_ranks = [0] * (v_sets * ways)
         v_last = [0] * (v_sets * ways)
         v_evict = [0] * (v_sets * ways)  # evictions, at each set's first way
         v_clock = 0  # the shared cache's clock in the uniform baseline
+        e_sets = geo.edge_sets
+        e_line = geo.edge_line
         if shared:
             e_tags, e_ranks, e_last = v_tags, v_ranks, v_last
             e_evict = v_evict
-            e_sets, e_line = v_sets, v_line
         else:
-            e_sets = ecache.num_sets
-            e_line = ecache.line_size
             e_tags = [-1] * (e_sets * ways)
             e_ranks = [0] * (e_sets * ways)
             e_last = [0] * (e_sets * ways)
             e_evict = [0] * (e_sets * ways)
         e_clock = 0
-        e_addr_off = e_side.address_offset
+        e_addr_off = geo.edge_offset
 
         # Python lists: numpy scalar indexing costs more than the model,
         # and values are identical post-tolist().
         vrank = self.vertex_rank.tolist()
-        erank = (
-            hierarchy.edge_rank.tolist()
-            if hierarchy.edge_rank is not None
-            else None
-        )
+        erank = geo.edge_rank.tolist() if geo.edge_rank is not None else None
         offsets = graph.offsets.tolist()
         neighbors = graph.neighbors.tolist()
 
@@ -360,7 +325,7 @@ class GramerSimulator:
                 trace, depth_capacity=ancestor_depth
             )
             (v_serve, v_fill), (e_serve, e_fill) = lamh_access_emitters(
-                hierarchy, trace
+                trace, v_line, e_line
             )
 
         # -- stats accumulators (folded into SimStats at the end) ----------
@@ -753,17 +718,9 @@ class GramerSimulator:
         )
         self.stats = stats
 
-        # Write the flat model's counters back into the sizing hierarchy,
-        # so its publish() and low_cache_pressure() describe this run.
-        v_side.stats = SideStats(v_hi, v_lo, v_miss)
-        e_side.stats = SideStats(e_hi, e_lo, e_miss)
-        v_side.scratchpad.hits = v_hi
-        e_side.scratchpad.hits = e_hi
-        if shared:
-            vcache.load_counts(v_lo + e_lo, v_miss + e_miss, v_evict[::ways])
-        else:
-            vcache.load_counts(v_lo, v_miss, v_evict[::ways])
-            ecache.load_counts(e_lo, e_miss, e_evict[::ways])
+        self.hierarchy = LAMHReport(
+            stats, v_evict[::ways], None if shared else e_evict[::ways]
+        )
 
         if ins is not None:
             ins.finish_run(stats, sum(pu_busy))

@@ -585,8 +585,8 @@ def _cmd_profile(args) -> None:
     instrument = SimInstrument(
         window_cycles=args.window, registry=registry
     )
-    # The engine writes its cache counters back into ``sim.hierarchy``,
-    # whose publish/pressure views the report below reads.
+    # After the run ``sim.hierarchy`` is the LAMH counts report, whose
+    # publish/pressure views the report below reads.
     sim = make_simulator(graph, config, instrument=instrument)
     result = sim.run(app)
     sim.hierarchy.publish(registry)

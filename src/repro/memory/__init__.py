@@ -1,45 +1,18 @@
-"""Memory substrate: caches, policies, scratchpad, LAMH, DRAM, disk."""
+"""Memory substrate: LAMH sizing and counts, the disk model."""
 
-from .cache import CacheStats, SetAssociativeCache
-from .dram import DRAMModel
 from .disk import DiskModel, OutOfDiskError
 from .hierarchy import (
-    AccessLevel,
-    LocalityAwareHierarchy,
-    MemorySide,
-    SideStats,
-    build_hierarchy,
+    LAMHGeometry,
+    LAMHReport,
     default_tau,
-    edge_cutoff_rank,
+    edge_rank_positions,
 )
-from .policies import (
-    FIFOPolicy,
-    LineState,
-    LocalityPreservedPolicy,
-    LRUPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-)
-from .scratchpad import Scratchpad
 
 __all__ = [
-    "CacheStats",
-    "SetAssociativeCache",
-    "DRAMModel",
     "DiskModel",
     "OutOfDiskError",
-    "AccessLevel",
-    "LocalityAwareHierarchy",
-    "MemorySide",
-    "SideStats",
-    "build_hierarchy",
+    "LAMHGeometry",
+    "LAMHReport",
     "default_tau",
-    "edge_cutoff_rank",
-    "FIFOPolicy",
-    "LineState",
-    "LocalityPreservedPolicy",
-    "LRUPolicy",
-    "RandomPolicy",
-    "ReplacementPolicy",
-    "Scratchpad",
+    "edge_rank_positions",
 ]

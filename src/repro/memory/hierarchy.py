@@ -4,14 +4,21 @@ On-chip memory is split into a *vertex memory* and an *edge memory*
 (isolating the two access streams avoids thrashing between them); each side
 is further split into a **high-priority** scratchpad that permanently pins
 the top-τ data by ON1 rank and a **low-priority** four-way set-associative
-cache run under the locality-preserved replacement policy (Equation 2).
+cache run under the locality-preserved replacement policy (Equation 2)::
 
-The hierarchy is functional: an access returns *where* it was served
-(:class:`AccessLevel`); the accelerator simulator attaches latencies and
-partition contention on top.  Ranks arrive with each request — after graph
-reordering the vertex ID *is* the rank, and an edge inherits the rank of its
-source vertex (``ON1(edge) = ON1(v_src)``), so the controller's priority
-test is a single comparison, faithfully to §IV-C's reordering trick.
+    victim = argmax_v  Rank(ON1(v)) + λ · Rec(v)
+
+where ``Rec(v)`` is the number of accesses since ``v`` was last referenced.
+``λ = 0`` degenerates to rank-only (a second static memory), large ``λ``
+to LRU; the paper uses ``λ = 1`` and sweeps it in Fig. 14(b).
+
+This module sizes one design point (:class:`LAMHGeometry`) and reports a
+run's counts (:class:`LAMHReport`).  The cycle simulator models the traffic
+itself on flat lists shaped by the geometry.  Ranks arrive with each
+request — after graph reordering the vertex ID *is* the rank, and an edge
+inherits the rank of its source vertex (``ON1(edge) = ON1(v_src)``), so the
+controller's priority test is a single comparison, faithfully to §IV-C's
+reordering trick.
 
 τ defaults to the paper's sizing rule ``MIN(50%, |Memory| / (2(|V|+|E|)))``
 (§VI-A) and the low-priority side mirrors the high-priority capacity.
@@ -19,186 +26,217 @@ test is a single comparison, faithfully to §IV-C's reordering trick.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
 
-from .cache import SetAssociativeCache
-from .policies import LocalityPreservedPolicy, LRUPolicy, ReplacementPolicy
-from .scratchpad import Scratchpad
-
 if TYPE_CHECKING:
+    from repro.accel.config import GramerConfig
+    from repro.accel.stats import SimStats
     from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
-    "AccessLevel",
-    "SideStats",
-    "MemorySide",
-    "LocalityAwareHierarchy",
+    "LAMHGeometry",
+    "LAMHReport",
     "default_tau",
-    "edge_cutoff_rank",
-    "build_hierarchy",
+    "edge_rank_positions",
 ]
 
 
-class AccessLevel(enum.Enum):
-    """Where a request was served."""
+@dataclass(frozen=True, eq=False)
+class LAMHGeometry:
+    """Sizing of one LAMH design point, built once per run.
 
-    HIGH = "high"  # high-priority scratchpad (pinned)
-    LOW_HIT = "low_hit"  # low-priority cache hit
-    MISS = "miss"  # off-chip
+    A request whose rank is below its side's cutoff is served by the
+    scratchpad.  Any other request looks up line
+    ``tag = (address + offset) // line`` in set ``tag % sets`` of its
+    side's ``ways``-way low cache, where ``offset`` is ``edge_offset`` for
+    edges and 0 for vertices.
+
+    ``GramerConfig.low_policy`` selects the Fig. 12 variants:
+
+    * ``"locality"`` — full LAMH (Equation 2 replacement, balance ``lam``),
+    * ``"lru"`` — *Static + LRU*: same high/low split, LRU low side,
+    * ``"uniform"`` — *Uniform LRU*: no pinning; one LRU cache holding the
+      whole budget is shared by vertex and edge data (``shared``).  Edge
+      addresses are offset past the vertex region so both streams contend
+      for the same sets — LAMH's vertex/edge isolation (§IV-A) is precisely
+      what that baseline lacks.
+    """
+
+    vertex_cutoff: int
+    edge_cutoff: int
+    ways: int
+    vertex_sets: int
+    edge_sets: int
+    vertex_line: int
+    edge_line: int
+    shared: bool
+    edge_offset: int
+    vertex_rank: np.ndarray
+    #: Rank of each CSR edge slot (:func:`edge_rank_positions`); ``None``
+    #: in the uniform baseline, where an edge takes its source's rank.
+    edge_rank: np.ndarray | None
+    locality: bool  # Equation 2 replacement; LRU otherwise
+    lam: float
+    #: Weight of the rank term in Equation 2; raw ranks, as the paper's
+    #: formula states.
+    rank_scale: float = 1.0
+
+    @classmethod
+    def build(
+        cls,
+        config: "GramerConfig",
+        graph: CSRGraph,
+        vertex_rank: np.ndarray,
+    ) -> "LAMHGeometry":
+        """Size the LAMH of ``config`` for ``graph`` under ``vertex_rank``.
+
+        ``config.tau`` overrides the paper's sizing rule (used by the
+        Fig. 14a sweep, where the low side always mirrors the high side).
+        """
+        vertex_rank = np.asarray(vertex_rank, dtype=np.int64)
+        if len(vertex_rank) != graph.num_vertices:
+            raise ValueError("vertex_rank must have one entry per vertex")
+        total = config.onchip_entries
+        ways = config.cache_ways
+        edge_line = config.edge_line_entries
+        if config.low_policy == "uniform":
+            sets = max(1, total // (ways * edge_line))
+            return cls(
+                vertex_cutoff=0,
+                edge_cutoff=0,
+                ways=ways,
+                vertex_sets=sets,
+                edge_sets=sets,
+                vertex_line=edge_line,
+                edge_line=edge_line,
+                shared=True,
+                edge_offset=graph.num_vertices,
+                vertex_rank=vertex_rank,
+                edge_rank=None,
+                locality=False,
+                lam=config.lam,
+            )
+
+        tau = config.tau if config.tau is not None else default_tau(graph, total)
+        num_slots = len(graph.neighbors)
+        vertex_cutoff = max(1, int(round(tau * graph.num_vertices)))
+        edge_cutoff = max(1, int(round(tau * num_slots))) if num_slots else 0
+        vertex_line = config.vertex_line_entries
+        return cls(
+            vertex_cutoff=vertex_cutoff,
+            edge_cutoff=edge_cutoff,
+            ways=ways,
+            vertex_sets=max(1, vertex_cutoff // (ways * vertex_line)),
+            edge_sets=max(1, edge_cutoff // (ways * edge_line)),
+            vertex_line=vertex_line,
+            edge_line=edge_line,
+            shared=False,
+            edge_offset=0,
+            vertex_rank=vertex_rank,
+            edge_rank=edge_rank_positions(graph, vertex_rank),
+            locality=config.low_policy == "locality",
+            lam=config.lam,
+        )
 
 
-@dataclass
-class SideStats:
-    """Access accounting for one side (vertex or edge)."""
+class LAMHReport:
+    """Counts of one run's LAMH traffic: service levels and set pressure.
 
-    high_hits: int = 0
-    low_hits: int = 0
-    misses: int = 0
-
-    @property
-    def accesses(self) -> int:
-        """Total accesses."""
-        return self.high_hits + self.low_hits + self.misses
-
-    @property
-    def hit_ratio(self) -> float:
-        """On-chip hit ratio (high + low hits over all accesses)."""
-        total = self.accesses
-        return (self.high_hits + self.low_hits) / total if total else 0.0
-
-
-class MemorySide:
-    """One of the two isolated memories (vertex or edge).
-
-    ``address_offset`` shifts this side's addresses inside a *shared* cache
-    — used only by the Uniform-LRU baseline of Fig. 12, where vertex and
-    edge data contend for one undifferentiated cache (LAMH's vertex/edge
-    isolation, §IV-A, is precisely what that baseline lacks).
+    Built from the run's per-side counters (``SimStats``) and the
+    evictions per set of each low cache.  ``edge_evictions`` is ``None``
+    when both sides share one low cache (the uniform baseline); that
+    cache is reported once, under ``"shared"``.
     """
 
     def __init__(
         self,
-        name: str,
-        high_cutoff_rank: int,
-        low_cache: SetAssociativeCache,
-        address_offset: int = 0,
+        stats: "SimStats",
+        vertex_evictions: Sequence[int],
+        edge_evictions: Sequence[int] | None,
     ) -> None:
-        self.name = name
-        self.scratchpad = Scratchpad(cutoff=high_cutoff_rank)
-        self.low_cache = low_cache
-        self.address_offset = address_offset
-        self.stats = SideStats()
-
-    @property
-    def capacity_entries(self) -> int:
-        """High + low on-chip entries of this side."""
-        return self.scratchpad.capacity_entries + self.low_cache.capacity_entries
-
-    def access(self, address: int, rank: int) -> AccessLevel:
-        """Serve one request: priority test, then cache lookup."""
-        if self.scratchpad.access(rank):
-            self.stats.high_hits += 1
-            level = AccessLevel.HIGH
-        elif self.low_cache.access(address + self.address_offset, rank):
-            self.stats.low_hits += 1
-            level = AccessLevel.LOW_HIT
+        vertex = (
+            stats.vertex_high_hits, stats.vertex_low_hits, stats.vertex_misses
+        )
+        edge = (stats.edge_high_hits, stats.edge_low_hits, stats.edge_misses)
+        #: Side name -> (high hits, low hits, misses).
+        self.sides = {"vertex": vertex, "edge": edge}
+        #: Low cache name -> (hits, misses, evictions per set).
+        self.caches: dict[str, tuple[int, int, list[int]]]
+        if edge_evictions is None:
+            self.caches = {
+                "shared": (
+                    vertex[1] + edge[1],
+                    vertex[2] + edge[2],
+                    list(vertex_evictions),
+                )
+            }
         else:
-            self.stats.misses += 1
-            level = AccessLevel.MISS
-        return level
+            self.caches = {
+                "vertex": (vertex[1], vertex[2], list(vertex_evictions)),
+                "edge": (edge[1], edge[2], list(edge_evictions)),
+            }
+
+    def low_cache_pressure(
+        self, hot_sets: int = 3
+    ) -> dict[str, dict[str, object]]:
+        """Per-set eviction pressure of each low cache, for the profile.
+
+        Uneven pressure (a few sets absorbing most evictions) is the
+        conflict-miss signature the set-indexed layout can hide behind an
+        innocuous aggregate hit ratio.
+        """
+        pressure: dict[str, dict[str, object]] = {}
+        for name, (_, _, counts) in self.caches.items():
+            total = sum(counts)
+            hottest = sorted(
+                range(len(counts)), key=lambda i: (-counts[i], i)
+            )[:hot_sets]
+            pressure[name] = {
+                "sets": len(counts),
+                "evictions": total,
+                "max": max(counts),
+                "mean": total / len(counts),
+                "hot_sets": [(i, counts[i]) for i in hottest if counts[i]],
+            }
+        return pressure
 
     def publish(self, registry: "MetricsRegistry") -> None:
-        """Publish this side's level counters into a metrics registry."""
+        """Publish side levels and low-cache counters into ``registry``."""
         accesses = registry.counter(
             "memory_accesses_total",
             "hierarchy requests by side and service level",
         )
-        accesses.inc(self.stats.high_hits, side=self.name, level="high")
-        accesses.inc(self.stats.low_hits, side=self.name, level="low")
-        accesses.inc(self.stats.misses, side=self.name, level="miss")
-        registry.gauge(
+        side_ratio = registry.gauge(
             "memory_hit_ratio", "on-chip hit ratio per side"
-        ).set(self.stats.hit_ratio, side=self.name)
-
-
-class LocalityAwareHierarchy:
-    """Vertex + edge memory pair with a shared rank mapping.
-
-    ``edge_rank`` maps each CSR edge slot to its global rank position when
-    slots are ordered by their source vertex's ON1 rank — i.e. the physical
-    position the slot would occupy in the reordered graph's edge array, so
-    "pinned" is a plain prefix test at slot granularity (§IV-B/C).  When
-    ``None`` (the uniform baseline) the source vertex's rank is used.
-    """
-
-    def __init__(
-        self,
-        vertex_side: MemorySide,
-        edge_side: MemorySide,
-        vertex_rank: np.ndarray,
-        edge_rank: np.ndarray | None = None,
-    ) -> None:
-        self.vertex_side = vertex_side
-        self.edge_side = edge_side
-        self.vertex_rank = vertex_rank
-        self.edge_rank = edge_rank
-
-    def access_vertex(self, vid: int) -> AccessLevel:
-        """Access vertex ``vid``'s CSR entry."""
-        return self.vertex_side.access(vid, int(self.vertex_rank[vid]))
-
-    def access_edge(self, index: int, src: int) -> AccessLevel:
-        """Access edge slot ``index`` owned by source vertex ``src``."""
-        if self.edge_rank is not None:
-            rank = int(self.edge_rank[index])
-        else:
-            rank = int(self.vertex_rank[src])
-        return self.edge_side.access(index, rank)
-
-    @property
-    def capacity_entries(self) -> int:
-        """Total on-chip entries."""
-        return self.vertex_side.capacity_entries + self.edge_side.capacity_entries
-
-    def hit_ratios(self) -> dict[str, float]:
-        """Per-side on-chip hit ratios (the Fig. 12a metric)."""
-        return {
-            "vertex": self.vertex_side.stats.hit_ratio,
-            "edge": self.edge_side.stats.hit_ratio,
-        }
-
-    def low_cache_pressure(self) -> dict[str, dict[str, object]]:
-        """Set-pressure summaries of the low-priority caches by side.
-
-        The uniform baseline shares one cache between both sides; it
-        appears once under ``"shared"``.
-        """
-        vertex_cache = self.vertex_side.low_cache
-        edge_cache = self.edge_side.low_cache
-        if vertex_cache is edge_cache:
-            return {"shared": vertex_cache.set_pressure()}
-        return {
-            "vertex": vertex_cache.set_pressure(),
-            "edge": edge_cache.set_pressure(),
-        }
-
-    def publish(self, registry: "MetricsRegistry") -> None:
-        """Publish both sides plus their low-cache internals."""
-        self.vertex_side.publish(registry)
-        self.edge_side.publish(registry)
-        vertex_cache = self.vertex_side.low_cache
-        edge_cache = self.edge_side.low_cache
-        if vertex_cache is edge_cache:
-            vertex_cache.publish(registry, cache="shared")
-        else:
-            vertex_cache.publish(registry, cache="vertex")
-            edge_cache.publish(registry, cache="edge")
+        )
+        for side, (high, low, miss) in self.sides.items():
+            accesses.inc(high, side=side, level="high")
+            accesses.inc(low, side=side, level="low")
+            accesses.inc(miss, side=side, level="miss")
+            total = high + low + miss
+            side_ratio.set((high + low) / total if total else 0.0, side=side)
+        events = registry.counter(
+            "cache_events_total", "set-associative cache events by kind"
+        )
+        cache_ratio = registry.gauge(
+            "cache_hit_ratio", "hits over accesses per cache instance"
+        )
+        set_evictions = registry.histogram(
+            "cache_set_evictions", "distribution of evictions across sets"
+        )
+        for name, (hits, misses, counts) in self.caches.items():
+            events.inc(hits, event="hit", cache=name)
+            events.inc(misses, event="miss", cache=name)
+            events.inc(sum(counts), event="eviction", cache=name)
+            total = hits + misses
+            cache_ratio.set(hits / total if total else 0.0, cache=name)
+            for count in counts:
+                set_evictions.observe(count, cache=name)
 
 
 def default_tau(graph: CSRGraph, total_entries: int) -> float:
@@ -210,25 +248,6 @@ def default_tau(graph: CSRGraph, total_entries: int) -> float:
     """
     data_entries = graph.num_vertices + len(graph.neighbors)
     return min(0.5, total_entries / (2 * data_entries))
-
-
-def edge_cutoff_rank(
-    graph: CSRGraph, vertex_rank: np.ndarray, target_slots: int
-) -> tuple[int, int]:
-    """Largest rank prefix whose adjacency slots fit ``target_slots``.
-
-    Returns ``(cutoff_rank, slots_used)``: edges whose source vertex has
-    rank below ``cutoff_rank`` are high priority.  Cutting at vertex
-    boundaries keeps whole adjacency slices resident, as the reordered CSR
-    prefix does in the paper.
-    """
-    degrees = graph.degrees()
-    degrees_by_rank = np.zeros(graph.num_vertices, dtype=np.int64)
-    degrees_by_rank[vertex_rank] = degrees
-    cumulative = np.cumsum(degrees_by_rank)
-    cutoff = int(np.searchsorted(cumulative, target_slots, side="right"))
-    slots_used = int(cumulative[cutoff - 1]) if cutoff > 0 else 0
-    return cutoff, slots_used
 
 
 def edge_rank_positions(graph: CSRGraph, vertex_rank: np.ndarray) -> np.ndarray:
@@ -248,99 +267,3 @@ def edge_rank_positions(graph: CSRGraph, vertex_rank: np.ndarray) -> np.ndarray:
     positions = np.empty(len(src_per_slot), dtype=np.int64)
     positions[order] = np.arange(len(src_per_slot))
     return positions
-
-
-def _make_cache(
-    capacity: int, ways: int, line_size: int, policy: ReplacementPolicy
-) -> SetAssociativeCache:
-    num_sets = max(1, capacity // (ways * line_size))
-    return SetAssociativeCache(
-        num_sets=num_sets, ways=ways, line_size=line_size, policy=policy
-    )
-
-
-def build_hierarchy(
-    graph: CSRGraph,
-    total_entries: int,
-    vertex_rank: np.ndarray | None = None,
-    tau: float | None = None,
-    low_policy: str = "locality",
-    lam: float = 1.0,
-    ways: int = 4,
-    vertex_line: int = 1,
-    edge_line: int = 4,
-) -> LocalityAwareHierarchy:
-    """Construct a hierarchy design point.
-
-    ``low_policy`` selects the Fig. 12 variants:
-
-    * ``"locality"`` — full LAMH (Equation 2 replacement, balance ``lam``),
-    * ``"lru"`` — *Static + LRU*: same high/low split, LRU low side,
-    * ``"uniform"`` — *Uniform LRU*: no pinning; the whole budget is one
-      LRU cache per side.
-
-    ``tau`` overrides the paper's sizing rule (used by the Fig. 14a sweep,
-    where the low side always mirrors the high side).
-    """
-    if total_entries < 2:
-        raise ValueError("total_entries must be >= 2")
-    if vertex_rank is None:
-        vertex_rank = np.arange(graph.num_vertices, dtype=np.int64)
-    else:
-        vertex_rank = np.asarray(vertex_rank, dtype=np.int64)
-        if len(vertex_rank) != graph.num_vertices:
-            raise ValueError("vertex_rank must have one entry per vertex")
-
-    num_slots = len(graph.neighbors)
-    if low_policy == "uniform":
-        # Fig. 12's baseline: one undifferentiated LRU cache shared by
-        # vertex and edge data (no pinning, no vertex/edge isolation).
-        # Edge addresses are offset past the vertex region so both streams
-        # contend for the same sets.
-        shared = _make_cache(total_entries, ways, edge_line, LRUPolicy())
-        vertex_side = MemorySide("vertex", 0, shared)
-        edge_side = MemorySide(
-            "edge", 0, shared, address_offset=graph.num_vertices
-        )
-        return LocalityAwareHierarchy(vertex_side, edge_side, vertex_rank)
-
-    if low_policy == "locality":
-        def policy_factory() -> ReplacementPolicy:
-            return LocalityPreservedPolicy(lam=lam)
-    elif low_policy == "lru":
-        def policy_factory() -> ReplacementPolicy:
-            return LRUPolicy()
-    else:
-        raise ValueError(
-            f"unknown low_policy {low_policy!r}; "
-            "expected 'locality', 'lru', or 'uniform'"
-        )
-
-    effective_tau = tau if tau is not None else default_tau(graph, total_entries)
-    if not 0.0 < effective_tau <= 1.0:
-        raise ValueError(f"tau must be in (0, 1], got {effective_tau}")
-
-    vertex_cutoff = max(1, int(round(effective_tau * graph.num_vertices)))
-    edge_cutoff = max(1, int(round(effective_tau * num_slots))) if num_slots else 0
-
-    vertex_side = MemorySide(
-        "vertex",
-        vertex_cutoff,
-        _make_cache(vertex_cutoff, ways, vertex_line, policy_factory()),
-    )
-    edge_side = MemorySide(
-        "edge",
-        edge_cutoff,
-        _make_cache(
-            max(edge_cutoff, ways * edge_line),
-            ways,
-            edge_line,
-            policy_factory(),
-        ),
-    )
-    return LocalityAwareHierarchy(
-        vertex_side,
-        edge_side,
-        vertex_rank,
-        edge_rank=edge_rank_positions(graph, vertex_rank),
-    )

@@ -241,23 +241,6 @@ _Serve = Callable[[int, str], None]
 _Fill = Callable[[int], None]
 
 
-class _CacheLike(Protocol):
-    @property
-    def line_size(self) -> int: ...
-
-
-class _SideLike(Protocol):
-    name: str
-
-    @property
-    def low_cache(self) -> _CacheLike: ...
-
-
-class _HierarchyLike(Protocol):
-    vertex_side: _SideLike
-    edge_side: _SideLike
-
-
 def _serve_emitter(
     side_name: str, trace: AccessTrace, entry_bytes: int
 ) -> _Serve:
@@ -299,30 +282,29 @@ def _fill_emitter(
 
 
 def lamh_access_emitters(
-    hierarchy: _HierarchyLike,
     trace: AccessTrace,
+    vertex_line: int,
+    edge_line: int,
     entry_bytes: int = ACCESS_ENTRY_BYTES,
 ) -> tuple[tuple[_Serve, _Fill], tuple[_Serve, _Fill]]:
     """Emitters for LAMH service traffic and low-cache fills, by side.
 
     Returns ``((serve, fill), (serve, fill))`` for the vertex and the edge
-    side of ``hierarchy``.  ``serve(rank, level)`` records one request
-    served at ``level``, an ``AccessLevel`` value (``"high"``,
-    ``"low_hit"`` or ``"miss"``); ``fill(tag)`` records the line a miss
-    installs in the low-priority cache, and precedes that miss's
-    ``serve``.  Both stamp ``trace.cycle``, which the simulator sets to
-    the request's service start.  Each side labels its own fills, also
-    when both share one low cache (the uniform baseline): a fill caused
-    by a vertex miss is a ``priority_cache.vertex`` record.
+    side, whose low caches hold ``vertex_line`` and ``edge_line`` entries
+    per line.  ``serve(rank, level)`` records one request served at
+    ``level`` (``"high"``, ``"low_hit"`` or ``"miss"``); ``fill(tag)``
+    records the line a miss installs in the low-priority cache, and
+    precedes that miss's ``serve``.  Both stamp ``trace.cycle``, which the
+    simulator sets to the request's service start.  Each side labels its
+    own fills, also when both share one low cache (the uniform baseline):
+    a fill caused by a vertex miss is a ``priority_cache.vertex`` record.
     """
     vertex, edge = (
         (
-            _serve_emitter(side.name, trace, entry_bytes),
-            _fill_emitter(
-                side.name, trace, side.low_cache.line_size, entry_bytes
-            ),
+            _serve_emitter(name, trace, entry_bytes),
+            _fill_emitter(name, trace, line_entries, entry_bytes),
         )
-        for side in (hierarchy.vertex_side, hierarchy.edge_side)
+        for name, line_entries in (("vertex", vertex_line), ("edge", edge_line))
     )
     return vertex, edge
 

@@ -185,6 +185,24 @@ class TestValidation:
         with pytest.raises(ValueError):
             GramerConfig(clock_mhz=0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("dram_latency", -1),
+            ("dram_channels", 0),
+            ("dram_cycles_per_transfer", 0),
+            ("lam", -0.5),
+            ("tau", 0.0),
+            ("tau", 1.5),
+            ("cache_ways", 0),
+            ("vertex_line_entries", 0),
+            ("edge_line_entries", 0),
+        ],
+    )
+    def test_memory_config_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError):
+            GramerConfig(**{field: value})
+
     def test_with_overrides(self):
         cfg = GramerConfig().with_overrides(slots_per_pu=4)
         assert cfg.slots_per_pu == 4

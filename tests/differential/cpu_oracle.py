@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from repro.baselines.cpu import CPUConfig, CPUTimeBreakdown
 from repro.graph.csr import CSRGraph
-from repro.memory.cache import SetAssociativeCache
-from repro.memory.policies import LRUPolicy
+
+from .lamh_oracle import LRUPolicy, SetAssociativeCache
 
 __all__ = ["OracleCPUMemory"]
 

@@ -12,7 +12,7 @@ every frame, whole or split by work stealing, like one
 
 :class:`ReferenceSimulator` is GRAMER's cycle model (§V, Fig. 6) in its
 per-event form: one heap pop per event, per-PU and per-slot objects, and
-the object-model LAMH of :mod:`repro.memory.hierarchy`.
+the object-model LAMH of :mod:`.lamh_oracle`.
 :class:`repro.accel.sim.GramerSimulator` must agree with it on every
 ``SimStats`` field, every mining result and every raised exception type,
 and, when hooked, on every tracer event, timeline window, steal latency and
@@ -37,8 +37,6 @@ from repro.accel.sim import (
     resolve_vertex_rank,
 )
 from repro.accel.stats import SimStats
-from repro.memory.dram import DRAMModel
-from repro.memory.hierarchy import AccessLevel, build_hierarchy
 from repro.mining.canonical import id_checks_pass
 from repro.mining.engine import (
     Frame,
@@ -47,6 +45,8 @@ from repro.mining.engine import (
     NullMemory,
     slot_step,
 )
+
+from .lamh_oracle import AccessLevel, DRAMModel, build_hierarchy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.csr import CSRGraph
@@ -416,17 +416,7 @@ class ReferenceSimulator:
 
     def _reset(self) -> None:
         cfg = self.config
-        self.hierarchy = build_hierarchy(
-            self.graph,
-            total_entries=cfg.onchip_entries,
-            vertex_rank=self.vertex_rank,
-            tau=cfg.tau,
-            low_policy=cfg.low_policy,
-            lam=cfg.lam,
-            ways=cfg.cache_ways,
-            vertex_line=cfg.vertex_line_entries,
-            edge_line=cfg.edge_line_entries,
-        )
+        self.hierarchy = build_hierarchy(self.graph, cfg, self.vertex_rank)
         self.dram = DRAMModel(
             latency_cycles=cfg.dram_latency,
             channels=cfg.dram_channels,
@@ -440,7 +430,9 @@ class ReferenceSimulator:
             from repro.obs.hooks import lamh_access_emitters
 
             self._emitters = lamh_access_emitters(
-                self.hierarchy, self.access_trace
+                self.access_trace,
+                self.hierarchy.vertex_side.low_cache.line_size,
+                self.hierarchy.edge_side.low_cache.line_size,
             )
 
     # -- functional phase ---------------------------------------------------

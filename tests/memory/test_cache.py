@@ -4,13 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory.cache import SetAssociativeCache
-from repro.memory.policies import (
-    FIFOPolicy,
+from ..differential.lamh_oracle import (
     LineState,
     LocalityPreservedPolicy,
     LRUPolicy,
-    RandomPolicy,
+    SetAssociativeCache,
 )
 
 
@@ -150,23 +148,6 @@ class TestLocalityPreserved:
 
 
 class TestOtherPolicies:
-    def test_fifo_evicts_oldest_fill(self):
-        c = SetAssociativeCache(num_sets=1, ways=2, policy=FIFOPolicy())
-        c.access(0)
-        c.access(1)
-        c.access(0)  # does not refresh FIFO order
-        c.access(2)  # evicts 0
-        assert not c.probe(0) and c.probe(1) and c.probe(2)
-
-    def test_random_is_deterministic_per_seed(self):
-        def run(seed):
-            c = SetAssociativeCache(
-                num_sets=1, ways=4, policy=RandomPolicy(seed)
-            )
-            return [c.access(a % 9, 0) for a in range(100)]
-
-        assert run(3) == run(3)
-
     def test_policy_invalid_way_detected(self):
         class BrokenPolicy:
             name = "broken"

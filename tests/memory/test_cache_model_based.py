@@ -15,12 +15,13 @@ from collections import OrderedDict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory.cache import SetAssociativeCache
-from repro.memory.hierarchy import MemorySide
-from repro.memory.policies import (
+from ..differential.lamh_oracle import (
+    AccessLevel,
     LineState,
     LocalityPreservedPolicy,
     LRUPolicy,
+    MemorySide,
+    SetAssociativeCache,
 )
 
 
@@ -248,8 +249,6 @@ def test_pinned_scratchpad_entries_never_evicted(cutoff, accesses):
     """Every access with rank < cutoff is served HIGH, always — pinned
     entries are never displaced by any interleaved low-priority traffic,
     and they never occupy (or evict from) the low cache."""
-    from repro.memory.hierarchy import AccessLevel
-
     side = MemorySide(
         "vertex",
         high_cutoff_rank=cutoff,

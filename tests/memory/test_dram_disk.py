@@ -3,7 +3,8 @@
 import pytest
 
 from repro.memory.disk import DiskModel, OutOfDiskError
-from repro.memory.dram import DRAMModel
+
+from ..differential.lamh_oracle import DRAMModel
 
 
 class TestDRAM:

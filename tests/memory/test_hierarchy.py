@@ -1,16 +1,22 @@
-"""The locality-aware memory hierarchy (LAMH)."""
+"""The locality-aware memory hierarchy (LAMH): sizing, counts, oracle."""
 
 import numpy as np
 import pytest
 
+from repro.accel.config import GramerConfig
+from repro.accel.stats import SimStats
 from repro.graph.generators import powerlaw_cluster, star
-from repro.memory.hierarchy import (
-    AccessLevel,
-    build_hierarchy,
-    default_tau,
-    edge_cutoff_rank,
-)
-from repro.memory.scratchpad import Scratchpad
+from repro.memory.hierarchy import LAMHReport, default_tau
+from repro.obs.metrics import MetricsRegistry
+
+from ..differential.lamh_oracle import AccessLevel, Scratchpad, build_hierarchy
+
+
+def _config(total_entries, **overrides):
+    """The LAMH knobs of a design point; vertex lines hold one entry."""
+    return GramerConfig(
+        onchip_entries=total_entries, vertex_line_entries=1, **overrides
+    )
 
 
 class TestScratchpad:
@@ -39,31 +45,13 @@ class TestDefaultTau:
         assert default_tau(g, data // 10) == pytest.approx(0.05, rel=0.2)
 
 
-class TestEdgeCutoff:
-    def test_star_hub_first(self):
-        g = star(10)
-        rank = np.zeros(11, dtype=np.int64)
-        rank[0] = 0
-        rank[1:] = np.arange(1, 11)
-        cutoff, used = edge_cutoff_rank(g, rank, target_slots=10)
-        assert cutoff == 1  # the hub's 10 slots exactly fill the target
-        assert used == 10
-
-    def test_zero_target(self):
-        g = star(4)
-        cutoff, used = edge_cutoff_rank(
-            g, np.arange(5, dtype=np.int64), target_slots=0
-        )
-        assert cutoff == 0 and used == 0
-
-
 class TestHierarchyRouting:
     def _graph(self):
         return powerlaw_cluster(200, 3, 0.3, seed=1)
 
     def test_high_priority_always_hits(self):
         g = self._graph()
-        h = build_hierarchy(g, total_entries=len(g.neighbors) // 5)
+        h = build_hierarchy(g, _config(len(g.neighbors) // 5))
         cutoff = h.vertex_side.scratchpad.cutoff
         # identity rank: vertices below cutoff are pinned.
         for v in range(cutoff):
@@ -72,14 +60,14 @@ class TestHierarchyRouting:
 
     def test_low_priority_miss_then_hit(self):
         g = self._graph()
-        h = build_hierarchy(g, total_entries=len(g.neighbors) // 5)
+        h = build_hierarchy(g, _config(len(g.neighbors) // 5))
         v = g.num_vertices - 1  # worst rank, surely low priority
         assert h.access_vertex(v) is AccessLevel.MISS
         assert h.access_vertex(v) is AccessLevel.LOW_HIT
 
     def test_edge_priority_from_source_rank(self):
         g = self._graph()
-        h = build_hierarchy(g, total_entries=len(g.neighbors) // 5)
+        h = build_hierarchy(g, _config(len(g.neighbors) // 5))
         edge_cutoff = h.edge_side.scratchpad.cutoff
         assert edge_cutoff > 0
         # An edge slot owned by rank-0 vertex is pinned.
@@ -90,13 +78,13 @@ class TestHierarchyRouting:
 
     def test_hit_ratios_keys(self):
         g = self._graph()
-        h = build_hierarchy(g, total_entries=100)
+        h = build_hierarchy(g, _config(100))
         h.access_vertex(0)
         assert set(h.hit_ratios()) == {"vertex", "edge"}
 
     def test_capacity_reporting(self):
         g = self._graph()
-        h = build_hierarchy(g, total_entries=400)
+        h = build_hierarchy(g, _config(400))
         assert h.capacity_entries > 0
 
 
@@ -106,14 +94,14 @@ class TestVariants:
 
     def test_uniform_has_no_pinning(self):
         g = self._graph()
-        h = build_hierarchy(g, total_entries=300, low_policy="uniform")
+        h = build_hierarchy(g, _config(300, low_policy="uniform"))
         assert h.vertex_side.scratchpad.cutoff == 0
         assert h.edge_side.scratchpad.cutoff == 0
 
     def test_lru_variant_same_split_as_lamh(self):
         g = self._graph()
-        lamh = build_hierarchy(g, total_entries=300, low_policy="locality")
-        static = build_hierarchy(g, total_entries=300, low_policy="lru")
+        lamh = build_hierarchy(g, _config(300, low_policy="locality"))
+        static = build_hierarchy(g, _config(300, low_policy="lru"))
         assert (
             lamh.vertex_side.scratchpad.cutoff
             == static.vertex_side.scratchpad.cutoff
@@ -121,21 +109,21 @@ class TestVariants:
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="low_policy"):
-            build_hierarchy(self._graph(), total_entries=100, low_policy="plru")
+            _config(100, low_policy="plru")
 
     def test_tau_override(self):
         g = self._graph()
-        h = build_hierarchy(g, total_entries=100, tau=0.10)
+        h = build_hierarchy(g, _config(100, tau=0.10))
         assert h.vertex_side.scratchpad.cutoff == round(0.10 * g.num_vertices)
 
     def test_bad_tau_rejected(self):
         with pytest.raises(ValueError, match="tau"):
-            build_hierarchy(self._graph(), total_entries=100, tau=0.0)
+            _config(100, tau=0.0)
 
     def test_bad_rank_length_rejected(self):
         g = self._graph()
         with pytest.raises(ValueError, match="vertex_rank"):
-            build_hierarchy(g, total_entries=100, vertex_rank=np.arange(5))
+            build_hierarchy(g, _config(100), vertex_rank=np.arange(5))
 
     def test_rank_mapping_controls_pinning(self):
         g = star(20)
@@ -143,10 +131,52 @@ class TestVariants:
         rank = np.zeros(21, dtype=np.int64)
         rank[0] = 20
         rank[1:] = np.arange(20)
-        h = build_hierarchy(g, total_entries=20, vertex_rank=rank, tau=0.25)
+        h = build_hierarchy(g, _config(20, tau=0.25), vertex_rank=rank)
         assert h.access_vertex(1) is AccessLevel.HIGH  # rank 0
         first = h.access_vertex(0)
         assert first is AccessLevel.MISS  # hub has worst rank
+
+
+class TestReport:
+    STATS = SimStats(
+        vertex_high_hits=5,
+        vertex_low_hits=3,
+        vertex_misses=2,
+        edge_high_hits=1,
+        edge_low_hits=6,
+        edge_misses=4,
+    )
+
+    def test_split_caches_report_per_side(self):
+        report = LAMHReport(self.STATS, [0, 2, 1], [4])
+        assert report.low_cache_pressure() == {
+            "vertex": {
+                "sets": 3, "evictions": 3, "max": 2, "mean": 1.0,
+                "hot_sets": [(1, 2), (2, 1)],
+            },
+            "edge": {
+                "sets": 1, "evictions": 4, "max": 4, "mean": 4.0,
+                "hot_sets": [(0, 4)],
+            },
+        }
+        registry = MetricsRegistry()
+        report.publish(registry)
+        accesses = registry.get("memory_accesses_total")
+        assert accesses.value(side="edge", level="low") == 6
+        assert registry.get("memory_hit_ratio").value(side="vertex") == 0.8
+        events = registry.get("cache_events_total")
+        assert events.value(cache="edge", event="eviction") == 4
+
+    def test_shared_cache_reported_once(self):
+        """The uniform baseline's one cache sums both sides' traffic."""
+        report = LAMHReport(self.STATS, [1, 0], None)
+        assert list(report.low_cache_pressure()) == ["shared"]
+        registry = MetricsRegistry()
+        report.publish(registry)
+        events = registry.get("cache_events_total")
+        assert events.value(cache="shared", event="hit") == 9
+        assert events.value(cache="shared", event="miss") == 6
+        assert registry.get("cache_hit_ratio").value(cache="shared") == 0.6
 
 
 class TestLAMHBeatsLRUOnSkewedTraffic:
@@ -154,7 +184,7 @@ class TestLAMHBeatsLRUOnSkewedTraffic:
 
     A single DFS walk has short reuse distances that flatter LRU; the
     accelerator interleaves up to 128 extension paths, multiplying reuse
-    distances.  The test replays 64 round-robin-interleaved per-root-group
+    distances.  The test replays 96 round-robin-interleaved per-root-group
     streams, which is the traffic the Fig. 12 comparison actually sees.
     """
 
@@ -196,10 +226,8 @@ class TestLAMHBeatsLRUOnSkewedTraffic:
         def replay(policy):
             h = build_hierarchy(
                 g,
-                total_entries=budget,
+                GramerConfig(onchip_entries=budget, low_policy=policy),
                 vertex_rank=rank,
-                low_policy=policy,
-                vertex_line=4,
             )
             for kind, a, b in trace:
                 if kind == 0:
