@@ -60,9 +60,6 @@ class CallGraph:
             graph.resolved[key] = out_resolved
         return graph
 
-    def callees(self, key: str) -> dict[str, CallSite]:
-        return self.edges.get(key, {})
-
     def resolve_atom(self, key: str, callee_text: str) -> str | None:
         """Resolved target of a ``call:<text>`` atom recorded in ``key``."""
         return self.resolved.get(key, {}).get(callee_text)

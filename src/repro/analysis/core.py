@@ -27,9 +27,10 @@ nothing are themselves findings (``GRM002``), except entries that name
 
 Each file gets one analysis step: it parses the file once, walks the
 tree once into :attr:`ModuleContext.nodes` (every module rule and the
-suppression scanner iterate that list), runs the module rules, and
-reduces the same tree to the
-:class:`~repro.analysis.summary.ModuleSummary` the project pass needs.
+suppression scanner iterate that list), reduces the same tree to the
+:class:`~repro.analysis.summary.ModuleSummary` the project pass needs
+and to the source sites the module rules query, and runs the module
+rules.
 The step's :class:`FileRecord` (findings, suppressions, summary) is
 content-addressed in the runtime's
 :class:`~repro.runtime.cache.ArtifactCache` (kind ``check/file``), keyed
@@ -53,7 +54,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
-from .summary import ModuleSummary, summarize_module
+from .summary import ModuleSummary, SourceSite, summarize_module
 
 if TYPE_CHECKING:
     from repro.runtime.cache import ArtifactCache
@@ -121,12 +122,28 @@ class ModuleContext:
     #: Every node of ``tree`` in ``ast.walk`` order, walked once here;
     #: rules iterate this instead of re-walking the whole module.
     nodes: tuple[ast.AST, ...] = field(init=False, repr=False, compare=False)
+    #: :func:`~repro.analysis.summary.summarize_module` of ``nodes``: the
+    #: facts the project pass keeps (cached with the file record) ...
+    summary: ModuleSummary = field(init=False, repr=False, compare=False)
+    #: ... and the source sites the module rules query (not cached).
+    source_sites: tuple[SourceSite, ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(ast.walk(self.tree)))
+        summary, sites = summarize_module(self.tree, self.nodes)
+        object.__setattr__(self, "summary", summary)
+        object.__setattr__(self, "source_sites", sites)
 
-    def finding(self, node: ast.AST, rule_id: str, message: str) -> Finding:
-        """Build a finding anchored at ``node``."""
+    def sites(self, kind: str) -> Iterator[SourceSite]:
+        """The module's source sites of one kind, in ``ast.walk`` order."""
+        return (site for site in self.source_sites if site.kind == kind)
+
+    def finding(
+        self, node: ast.AST | SourceSite, rule_id: str, message: str
+    ) -> Finding:
+        """Build a finding anchored at ``node`` (or at a source site)."""
         return Finding(
             rule_id=rule_id,
             path=str(self.path),
@@ -475,7 +492,7 @@ def _analyze_source(
     rules: Iterable[Rule],
     relpath: str | None = None,
 ) -> FileRecord:
-    """The one analysis step per file: parse, walk, rules, summary.
+    """The one analysis step per file: parse, walk, summary, rules.
 
     No GRM002 synthesis yet: that needs the project pass's suppression
     hits too.
@@ -515,7 +532,7 @@ def _analyze_source(
         findings=tuple(sorted(kept, key=Finding.sort_key)),
         suppressions=tuple(suppressions),
         used=tuple(sorted(used)),
-        summary=summarize_module(tree, context.nodes),
+        summary=context.summary,
     )
 
 

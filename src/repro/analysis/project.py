@@ -119,9 +119,6 @@ class ProjectAnalysis:
     def function(self, key: str) -> FunctionSummary | None:
         return self._functions.get(key)
 
-    def module_of(self, key: str) -> str:
-        return key.split(":", 1)[0]
-
     def path_of(self, key_or_module: str) -> Path:
         return self.paths[key_or_module.split(":", 1)[0]]
 

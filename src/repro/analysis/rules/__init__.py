@@ -1,7 +1,13 @@
 """Built-in GRAMER rule families.
 
 Importing this package registers every rule with the engine registry in
-:mod:`repro.analysis.core`.  Families and their ID blocks:
+:mod:`repro.analysis.core`.  The rules that look for a source — a clock,
+an RNG, an environment read, a graph producer, a pool payload — query
+the module's source sites (``context.sites(kind)``), whose
+catalogs live once in :mod:`repro.analysis._ast_util`; GRM203 tests a
+memoized scope's nodes against the same environment catalog, and the
+project pass taints from the same catalogs.  The other module rules
+iterate ``context.nodes``.  Families and their ID blocks:
 
 * ``determinism`` (GRM1xx) — wall-clock reads and unseeded RNGs;
 * ``purity`` (GRM2xx) — environment reads, mutable module globals, and
@@ -15,8 +21,8 @@ Importing this package registers every rule with the engine registry in
 * ``observability`` (GRM6xx) — bare ``print()`` bypassing the obs layer;
 * ``engine_selection`` (GRM7xx) — direct ``GramerSimulator`` construction
   bypassing :func:`repro.accel.sim.make_simulator`, and exact equality
-  asserted on timing fields in turbo context (kept until the
-  benchmark's frozen findings drop it);
+  asserted on timing fields in turbo context (kept only for the
+  benchmark's frozen findings);
 * ``resilience`` (GRM8xx) — broad exception handlers that swallow errors
   without re-raise or logging;
 * ``graph_store`` (GRM9xx) — graphs loaded or generated outside the

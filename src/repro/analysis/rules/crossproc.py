@@ -14,10 +14,8 @@ state the spec never declared.
 
 from __future__ import annotations
 
-import ast
 from typing import Iterator
 
-from repro.analysis._ast_util import is_pool_submission
 from repro.analysis.core import Finding, ModuleContext, rule
 
 _LARGE_OBJECT_NAMES = {
@@ -37,43 +35,26 @@ _LARGE_OBJECT_NAMES = {
 }
 
 
-def _large_name(node: ast.expr) -> str | None:
-    if isinstance(node, ast.Name) and node.id.lower() in _LARGE_OBJECT_NAMES:
-        return node.id
-    if isinstance(node, ast.Attribute) and node.attr.lower() in _LARGE_OBJECT_NAMES:
-        return node.attr
-    return None
-
-
 @rule(
     "GRM501",
     "crossproc",
     "large object or closure pickled into a pool submission",
 )
 def large_capture_in_submission(context: ModuleContext) -> Iterator[Finding]:
-    for node in context.nodes:
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if not is_pool_submission(func):
-            continue
-        arguments = list(node.args) + [kw.value for kw in node.keywords]
-        for arg in arguments:
-            if isinstance(arg, ast.Lambda):
-                yield context.finding(
-                    arg,
-                    "GRM501",
-                    f"lambda passed to `.{func.attr}` — closures capture "
-                    "ambient objects by value into the worker pickle; "
-                    "submit a top-level function taking explicit keys",
-                )
-                continue
-            name = _large_name(arg)
-            if name is not None:
-                yield context.finding(
-                    arg,
-                    "GRM501",
-                    f"`{name}` pickled by value into `.{func.attr}` — pass "
-                    "its content address (dataset name, path, cache key) "
-                    "and reload inside the worker instead",
-                )
+    for site in context.sites("pool"):
+        if site.form == "lambda":
+            yield context.finding(
+                site,
+                "GRM501",
+                f"lambda passed to `.{site.via}` — closures capture "
+                "ambient objects by value into the worker pickle; "
+                "submit a top-level function taking explicit keys",
+            )
+        elif site.name.lower() in _LARGE_OBJECT_NAMES:
+            yield context.finding(
+                site,
+                "GRM501",
+                f"`{site.name}` pickled by value into `.{site.via}` — pass "
+                "its content address (dataset name, path, cache key) "
+                "and reload inside the worker instead",
+            )

@@ -18,38 +18,10 @@ content-addressed cache, so these rules ban the sources outright:
 
 from __future__ import annotations
 
-import ast
 from typing import Iterator
 
-from repro.analysis._ast_util import BANNED_CLOCKS, call_name, dotted_name
+from repro.analysis._ast_util import BANNED_CLOCKS
 from repro.analysis.core import Finding, ModuleContext, rule
-
-# numpy.random attributes that construct explicitly seedable generators (the
-# sanctioned API); everything else on np.random is the hidden global RNG.
-_NP_GENERATOR_FACTORIES = {
-    "default_rng",
-    "Generator",
-    "SeedSequence",
-    "BitGenerator",
-    "PCG64",
-    "PCG64DXSM",
-    "Philox",
-    "MT19937",
-    "SFC64",
-}
-
-
-def _first_argument_is_seed(call: ast.Call) -> bool:
-    """True when the call passes a non-``None`` seed (positionally or by name)."""
-    for arg in call.args[:1]:
-        if not (isinstance(arg, ast.Constant) and arg.value is None):
-            return True
-    for keyword in call.keywords:
-        if keyword.arg == "seed" and not (
-            isinstance(keyword.value, ast.Constant) and keyword.value.value is None
-        ):
-            return True
-    return False
 
 
 @rule(
@@ -58,27 +30,24 @@ def _first_argument_is_seed(call: ast.Call) -> bool:
     "wall-clock read (time.time / datetime.now) in modeled code",
 )
 def wall_clock_reads(context: ModuleContext) -> Iterator[Finding]:
-    for node in context.nodes:
-        if isinstance(node, ast.Attribute):
-            name = dotted_name(node)
-            if name in BANNED_CLOCKS:
-                yield context.finding(
-                    node,
-                    "GRM101",
-                    f"wall-clock read `{name}` — results must be pure "
-                    "functions of the JobSpec; use time.perf_counter for "
-                    "host wall time (it stays out of fingerprints)",
-                )
-        elif isinstance(node, ast.ImportFrom):
-            if node.module == "time":
-                for alias in node.names:
-                    if alias.name in ("time", "time_ns"):
-                        yield context.finding(
-                            node,
-                            "GRM101",
-                            f"`from time import {alias.name}` imports a "
-                            "wall-clock read; use time.perf_counter",
-                        )
+    for site in context.sites("wallclock"):
+        if site.name not in BANNED_CLOCKS:
+            continue
+        if site.form == "attribute":
+            yield context.finding(
+                site,
+                "GRM101",
+                f"wall-clock read `{site.name}` — results must be pure "
+                "functions of the JobSpec; use time.perf_counter for "
+                "host wall time (it stays out of fingerprints)",
+            )
+        elif site.form == "import" and site.name.startswith("time."):
+            yield context.finding(
+                site,
+                "GRM101",
+                f"`from time import {site.name[len('time.'):]}` imports a "
+                "wall-clock read; use time.perf_counter",
+            )
 
 
 @rule(
@@ -87,36 +56,32 @@ def wall_clock_reads(context: ModuleContext) -> Iterator[Finding]:
     "stdlib global RNG or seedless random.Random()",
 )
 def stdlib_global_rng(context: ModuleContext) -> Iterator[Finding]:
-    for node in context.nodes:
-        if isinstance(node, ast.Call):
-            name = call_name(node)
-            if name is None or not name.startswith("random."):
-                continue
-            attr = name.split(".", 1)[1]
-            if attr == "Random":
-                if not _first_argument_is_seed(node):
-                    yield context.finding(
-                        node,
-                        "GRM102",
-                        "`random.Random()` without a seed draws OS entropy; "
-                        "pass an explicit seed (e.g. random.Random(spec.seed))",
-                    )
-            elif "." not in attr:
+    for site in context.sites("rng"):
+        module, _, attr = site.name.partition(".")
+        if module != "random":
+            continue
+        if site.form == "call":
+            if site.seeded is False:
                 yield context.finding(
-                    node,
+                    site,
                     "GRM102",
-                    f"`{name}` uses the process-global RNG; construct a "
+                    "`random.Random()` without a seed draws OS entropy; "
+                    "pass an explicit seed (e.g. random.Random(spec.seed))",
+                )
+            elif site.seeded is None and "." not in attr:
+                yield context.finding(
+                    site,
+                    "GRM102",
+                    f"`{site.name}` uses the process-global RNG; construct a "
                     "seeded random.Random(seed) instead",
                 )
-        elif isinstance(node, ast.ImportFrom) and node.module == "random":
-            for alias in node.names:
-                if alias.name != "Random":
-                    yield context.finding(
-                        node,
-                        "GRM102",
-                        f"`from random import {alias.name}` binds the "
-                        "process-global RNG; import Random and seed it",
-                    )
+        elif site.form == "import" and "." not in attr and attr != "Random":
+            yield context.finding(
+                site,
+                "GRM102",
+                f"`from random import {attr}` binds the "
+                "process-global RNG; import Random and seed it",
+            )
 
 
 @rule(
@@ -125,28 +90,19 @@ def stdlib_global_rng(context: ModuleContext) -> Iterator[Finding]:
     "numpy legacy global RNG or seedless default_rng()",
 )
 def numpy_global_rng(context: ModuleContext) -> Iterator[Finding]:
-    for call in context.nodes:
-        if not isinstance(call, ast.Call):
+    for site in context.sites("rng"):
+        if site.form != "call" or site.name.startswith("random."):
             continue
-        name = call_name(call)
-        if name is None:
-            continue
-        for prefix in ("np.random.", "numpy.random."):
-            if name.startswith(prefix):
-                attr = name[len(prefix):]
-                break
-        else:
-            continue
-        if attr not in _NP_GENERATOR_FACTORIES:
+        if site.seeded is None:
             yield context.finding(
-                call,
+                site,
                 "GRM103",
-                f"`{name}` uses numpy's hidden global RNG; use "
+                f"`{site.name}` uses numpy's hidden global RNG; use "
                 "np.random.default_rng(seed)",
             )
-        elif attr == "default_rng" and not _first_argument_is_seed(call):
+        elif site.seeded is False and site.name.endswith(".default_rng"):
             yield context.finding(
-                call,
+                site,
                 "GRM103",
                 "`default_rng()` without a seed draws OS entropy; thread "
                 "an explicit seed through",

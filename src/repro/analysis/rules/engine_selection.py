@@ -14,9 +14,9 @@ out of engine selection (``--engine``, backend params).
   turbo context.  It guarded the approximate turbo tier, which has been
   removed; the rule stays until the benchmark's frozen findings
   (``perfbench/golden.json``, which pins its hits on the
-  ``bad_turbo_timing.py`` fixture) are re-baselined without it.  Its
-  finding message is kept as the analysis snapshot pins it.
-  Mining-count fields and ``pytest.approx`` comparisons are not flagged.
+  ``bad_turbo_timing.py`` fixture) are re-baselined without it, and its
+  message says so.  Mining-count fields and ``pytest.approx`` comparisons
+  are not flagged.
 """
 
 from __future__ import annotations
@@ -123,7 +123,8 @@ def _is_approx_call(node: ast.expr) -> bool:
 @rule(
     "GRM702",
     "engine_selection",
-    "exact equality on tolerance-banded turbo timing fields",
+    "exact equality on turbo timing fields (kept only for the benchmark's "
+    "frozen findings)",
 )
 def adhoc_turbo_timing_equality(context: ModuleContext) -> Iterator[Finding]:
     if _is_exempt(context.relpath):
@@ -155,8 +156,6 @@ def adhoc_turbo_timing_equality(context: ModuleContext) -> Iterator[Finding]:
                 node,
                 "GRM702",
                 f"exact comparison of SimStats timing field {field!r} in "
-                "turbo context — turbo timing is tolerance-banded "
-                "(docs/turbo.md); assert through the tolerance framework "
-                "(tests/differential/tolerance.py) or the golden "
-                "envelopes, never ad-hoc ==",
+                "turbo context — the turbo engine has been removed; this "
+                "rule is kept only for the benchmark's frozen findings",
             )

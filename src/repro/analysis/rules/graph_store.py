@@ -19,21 +19,10 @@ of shared.
 
 from __future__ import annotations
 
-import ast
 from typing import Iterator
 
+from repro.analysis._ast_util import GRAPH_BUILDERS
 from repro.analysis.core import Finding, ModuleContext, rule
-
-#: Call names that construct a graph outside the store's custody.
-_FLAGGED_CALLS = frozenset(
-    {
-        "load_edge_list",
-        "parse_edge_list",
-        "erdos_renyi",
-        "powerlaw_cluster",
-        "rmat",
-    }
-)
 
 
 def _is_exempt(relpath: str) -> bool:
@@ -52,19 +41,12 @@ def _is_exempt(relpath: str) -> bool:
 def graph_outside_store(context: ModuleContext) -> Iterator[Finding]:
     if _is_exempt(context.relpath):
         return
-    for call in context.nodes:
-        if not isinstance(call, ast.Call):
-            continue
-        func = call.func
-        name = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-        if name not in _FLAGGED_CALLS:
+    for site in context.sites("graph"):
+        name = site.name.rpartition(".")[2]
+        if site.form != "call" or name not in GRAPH_BUILDERS:
             continue
         yield context.finding(
-            call,
+            site,
             "GRM901",
             f"{name}() builds a graph outside the store — address graphs "
             "through repro.graph.store.GraphStore (import_edge_list / "

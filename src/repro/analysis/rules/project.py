@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.analysis.callgraph import CallGraph
 from repro.analysis.core import Finding, project_rule
 from repro.analysis.project import ProjectAnalysis
 from repro.analysis.summary import FunctionSummary, Sink

@@ -23,7 +23,13 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from repro.analysis._ast_util import call_name, dotted_name
+from repro.analysis._ast_util import (
+    ENV_GETTER,
+    ENV_MAPPING,
+    ENV_READS,
+    call_name,
+    dotted_name,
+)
 from repro.analysis.core import Finding, ModuleContext, rule
 
 _MUTABLE_LITERALS = (
@@ -56,7 +62,6 @@ _MEMO_DECORATORS = {
 }
 _IMPURE_CALLS = {
     "open",
-    "os.getenv",
     "os.remove",
     "os.unlink",
     "os.replace",
@@ -74,26 +79,33 @@ _IMPURE_METHODS = {
 }
 
 
-def _env_reads(nodes: Iterable[ast.AST]) -> Iterator[ast.AST]:
-    for node in nodes:
-        if isinstance(node, ast.Attribute) and dotted_name(node) == "os.environ":
-            yield node
-        elif isinstance(node, ast.Call) and call_name(node) == "os.getenv":
-            yield node
-        elif isinstance(node, ast.ImportFrom) and node.module == "os":
-            if any(alias.name in ("environ", "getenv") for alias in node.names):
-                yield node
-
-
 @rule(
     "GRM201",
     "purity",
     "os.environ read outside process-startup configuration",
 )
 def environ_reads(context: ModuleContext) -> Iterator[Finding]:
-    for node in _env_reads(context.nodes):
+    anchors: set[tuple[int, int]] = set()
+    for site in context.sites("env"):
+        # The mapping where it is referenced and the getter where it is
+        # called (``os.environ.get(...)`` also names an ``os.environ.get``
+        # call, ``os.getenv(...)`` an ``os.getenv`` attribute), or either
+        # one imported.
+        if site.form == "import":
+            flagged = site.name in ENV_READS
+        else:
+            flagged = (site.form, site.name) in (
+                ("attribute", ENV_MAPPING),
+                ("call", ENV_GETTER),
+            )
+        # One finding per statement: ``from os import environ, getenv``
+        # names two sites at one anchor.
+        anchor = (site.lineno, site.col_offset)
+        if not flagged or anchor in anchors:
+            continue
+        anchors.add(anchor)
         yield context.finding(
-            node,
+            site,
             "GRM201",
             "environment read — cached results must be pure functions of "
             "their spec; resolve env config once at startup (suppress "
@@ -176,15 +188,15 @@ def _impure_nodes(scope: ast.AST) -> Iterator[tuple[ast.AST, str]]:
     for node in ast.walk(scope):
         if isinstance(node, ast.Call):
             name = call_name(node)
-            if name in _IMPURE_CALLS:
+            if name in _IMPURE_CALLS or name == ENV_GETTER:
                 yield node, f"`{name}(...)`"
             elif (
                 isinstance(node.func, ast.Attribute)
                 and node.func.attr in _IMPURE_METHODS
             ):
                 yield node, f"`.{node.func.attr}(...)`"
-        elif isinstance(node, ast.Attribute) and dotted_name(node) == "os.environ":
-            yield node, "`os.environ`"
+        elif isinstance(node, ast.Attribute) and dotted_name(node) == ENV_MAPPING:
+            yield node, f"`{ENV_MAPPING}`"
 
 
 @rule(

@@ -76,15 +76,6 @@ def _operand_label(node: ast.expr) -> str:
     return "<expr>"
 
 
-def _is_zero_literal(node: ast.expr) -> bool:
-    return (
-        isinstance(node, ast.Constant)
-        and isinstance(node.value, (int, float))
-        and not isinstance(node.value, bool)
-        and node.value == 0
-    )
-
-
 @rule(
     "GRM401",
     "units",

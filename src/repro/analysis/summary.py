@@ -1,13 +1,16 @@
-"""Per-module analysis summaries for the whole-program pass.
+"""Per-module analysis summaries: the checker's one fact base.
 
 :func:`summarize_module` reduces one parsed module to a frozen, picklable
 :class:`ModuleSummary` — everything the project pass needs to build a
 module graph, a call graph, and an interprocedural taint analysis without
-ever re-reading the file.  It runs inside the per-file analysis step
-(:mod:`repro.analysis.core`) over the tree and ``ast.walk`` node list the
-module rules share, and the summary rides in that step's cached
-:class:`~repro.analysis.core.FileRecord`.  A summary does not know its
-module's dotted name, so one record serves every checked root:
+ever re-reading the file — and, in the same pass, to the module's
+:class:`SourceSite` records, which the module rules query.  It runs
+inside the per-file analysis step (:mod:`repro.analysis.core`), over the
+tree and ``ast.walk`` node list the module rules share, before those
+rules run.  The summary rides in that step's cached
+:class:`~repro.analysis.core.FileRecord`; the sites are consumed by the
+module rules in the same step and are not cached.  A summary does not
+know its module's dotted name, so one record serves every checked root:
 
 * the module's **imports** (local alias → dotted target); relative
   targets keep their leading dots until :meth:`ModuleSummary.imports_dict`
@@ -20,14 +23,21 @@ module's dotted name, so one record serves every checked root:
   classes (anything defining ``cache_key``/``fingerprint``), including
   which dataclass fields the spec digest covers.
 
+The source sites cover the whole module, module scope included: each
+clock, RNG, environment or graph-producer name
+(:func:`~repro.analysis._ast_util.source_kind`) and each argument a pool
+submission pickles.  The GRM1xx/2xx/5xx/9xx module rules are queries
+over these sites.
+
 The dataflow here is deliberately *intra*-procedural and summary-shaped:
 each expression is reduced to a set of atoms — ``src:<kind>`` for a taint
-source, ``call:<dotted>`` for a call whose resolution happens later at
-project scope, ``param:<name>`` for a parameter — propagated through
-local assignments with branch merging.  The interprocedural fixpoint over
-``call:`` atoms lives in :mod:`repro.analysis.taint`; summaries therefore
-cache with their file record (content-addressed by source hash) and
-recombine cheaply.
+source (named by the same classifier as the sites, once the callee's head
+is resolved through the module's imports), ``call:<dotted>`` for a call
+whose resolution happens later at project scope, ``param:<name>`` for a
+parameter — propagated through local assignments with branch merging.
+The interprocedural fixpoint over ``call:`` atoms lives in
+:mod:`repro.analysis.taint`; summaries therefore cache with their file
+record (content-addressed by source hash) and recombine cheaply.
 
 Conservatism cuts the *miss* direction by design: a call that cannot be
 resolved to a project symbol contributes no taint, so the project rules
@@ -42,12 +52,20 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from ._ast_util import HOST_CLOCKS, call_name, dotted_name, is_pool_submission
+from ._ast_util import (
+    SEEDABLE_RNGS,
+    call_name,
+    dotted_name,
+    is_pool_submission,
+    source_kind,
+    tail_name,
+)
 
 __all__ = [
     "DETERMINISTIC_RESULT_FIELDS",
     "CallSite",
     "Sink",
+    "SourceSite",
     "Submit",
     "FunctionSummary",
     "SpecClassInfo",
@@ -65,55 +83,14 @@ DETERMINISTIC_RESULT_FIELDS = frozenset(
 
 # -- taint atoms ------------------------------------------------------------
 
-SRC_WALLCLOCK = "src:wallclock"
-SRC_RNG = "src:rng"
-SRC_ENV = "src:env"
-SRC_GRAPH = "src:graph"
 ATOM_LAMBDA = "lambda"
 ATOM_PARAMSDICT = "paramsdict"
-
-_RNG_PREFIXES = ("random.", "np.random.", "numpy.random.")
-_ENV_CALLS = {"os.getenv"}
-# Graph-sized producers: the functions that materialize whole graphs.
-# Matching is by full dotted name or by final component for the names
-# unique enough to own (generator/parser entry points).
-_GRAPH_PRODUCER_TAILS = {
-    "load_edge_list",
-    "parse_edge_list",
-    "import_edge_list",
-    "erdos_renyi",
-    "powerlaw_cluster",
-    "rmat",
-    "load_labeled",
-}
-_GRAPH_PRODUCER_NAMES = {"CSRGraph", "resolve_graph", "datasets.load"}
-# ``<store-ish>.open`` / ``<store-ish>.load``: receiver must look like a
-# graph store, because bare ``.open``/``.load`` are far too generic.
-_STORE_METHODS = {"open", "load"}
 
 _CACHE_KEY_METHODS = {"get_or_create", "lookup", "store", "entry_path"}
 _ASDICT_NAMES = {"asdict", "astuple", "dataclasses.asdict", "dataclasses.astuple"}
 
 Atoms = frozenset[str]
 _EMPTY: Atoms = frozenset()
-
-
-def _source_atom(callee: str | None) -> str | None:
-    """The ``src:<kind>`` atom a call introduces, if it is a taint source."""
-    if callee is None:
-        return None
-    if callee in HOST_CLOCKS:
-        return SRC_WALLCLOCK
-    if any(callee.startswith(p) for p in _RNG_PREFIXES):
-        return SRC_RNG
-    if callee in _ENV_CALLS or callee.startswith("os.environ."):
-        return SRC_ENV
-    tail = callee.rsplit(".", 1)[-1]
-    if tail in _GRAPH_PRODUCER_TAILS or callee in _GRAPH_PRODUCER_NAMES:
-        return SRC_GRAPH
-    if tail in _STORE_METHODS and "store" in callee.rsplit(".", 1)[0].lower():
-        return SRC_GRAPH
-    return None
 
 
 # -- summary dataclasses ----------------------------------------------------
@@ -155,6 +132,29 @@ class Submit:
     callee_kind: str  # "name" | "lambda" | "nested" | "other"
     arg_atoms: tuple[Atoms, ...]
     arg_names: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class SourceSite:
+    """One place a module names a source, module scope included.
+
+    ``kind`` is :func:`~repro.analysis._ast_util.source_kind`'s verdict on
+    ``name`` as written; ``form`` is ``"attribute"`` (a dotted reference),
+    ``"call"`` or ``"import"`` (``from m import x`` names ``m.x``).
+    ``seeded`` is set on seedable RNG constructor calls only.  Kind
+    ``"pool"`` is an argument a pool submission pickles (``form`` is
+    ``"lambda"`` or ``"argument"``), ``via`` the submission method.
+    ``lineno``/``col_offset`` are the anchor node's, so a site anchors a
+    finding as that node would.
+    """
+
+    kind: str
+    name: str
+    lineno: int
+    col_offset: int
+    form: str
+    seeded: bool | None = None
+    via: str = ""
 
 
 @dataclass(frozen=True)
@@ -246,30 +246,92 @@ def _resolve_relative(module: str, target: str) -> str:
     return ".".join(parts[: len(parts) - level] + dotted.split("."))
 
 
-def _collect_imports(nodes: Iterable[ast.AST]) -> list[tuple[str, str]]:
-    out: list[tuple[str, str]] = []
+def _resolve_head(name: str, imports: dict[str, str]) -> str:
+    """``name`` with its first component replaced by what it imports.
+
+    ``from time import perf_counter as now`` makes ``now`` read as
+    ``time.perf_counter``.
+    """
+    head, dot, rest = name.partition(".")
+    target = imports.get(head)
+    return name if target is None else target + dot + rest
+
+
+def _passes_seed(call: ast.Call) -> bool:
+    """True when the call passes a non-``None`` seed (positionally or by name)."""
+    for arg in call.args[:1]:
+        if not (isinstance(arg, ast.Constant) and arg.value is None):
+            return True
+    for keyword in call.keywords:
+        if keyword.arg == "seed" and not (
+            isinstance(keyword.value, ast.Constant) and keyword.value.value is None
+        ):
+            return True
+    return False
+
+
+def _scan_module(
+    nodes: Iterable[ast.AST],
+) -> tuple[list[tuple[str, str]], list[SourceSite]]:
+    """One pass over a module's nodes: its import bindings and source sites."""
+    # Later bindings win, matching Python semantics closely enough.
+    bindings: dict[str, str] = {}
+    sites: list[SourceSite] = []
+
+    def add(
+        kind: str,
+        name: str,
+        at: ast.expr | ast.stmt,
+        form: str,
+        seeded: bool | None = None,
+        via: str = "",
+    ) -> None:
+        sites.append(
+            SourceSite(kind, name, at.lineno, at.col_offset, form, seeded, via)
+        )
+
     for node in nodes:
-        if isinstance(node, ast.Import):
+        if isinstance(node, ast.Attribute):
+            # GRM101/GRM201 flag any reference to a clock or the
+            # environment (``now = time.time``), not only calls.
+            name = dotted_name(node)
+            kind = source_kind(name)
+            if name and kind in ("wallclock", "env"):
+                add(kind, name, node, "attribute")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            # ``make().load_edge_list()`` is named by its method.
+            name = call_name(node) or tail_name(func)
+            kind = source_kind(name)
+            if name and kind:
+                add(kind, name, node, "call",
+                    _passes_seed(node) if name in SEEDABLE_RNGS else None)
+            if is_pool_submission(func):
+                for arg in [*node.args, *(kw.value for kw in node.keywords)]:
+                    if isinstance(arg, ast.Lambda):
+                        add("pool", "", arg, "lambda", via=func.attr)
+                    elif arg_name := tail_name(arg):
+                        add("pool", arg_name, arg, "argument", via=func.attr)
+        elif isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname:
-                    out.append((alias.asname, alias.name))
+                    bindings[alias.asname] = alias.name
                 else:
                     # ``import a.b.c`` binds ``a``; keep the full dotted
                     # path so ``a.b.c.f`` resolves by prefix.
-                    out.append((alias.name.split(".")[0], alias.name.split(".")[0]))
-                    out.append((alias.name, alias.name))
+                    head = alias.name.split(".")[0]
+                    bindings[head] = head
+                    bindings[alias.name] = alias.name
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                if alias.name == "*":
-                    continue
-                local = alias.asname or alias.name
-                target = ".".join(filter(None, (node.module, alias.name)))
-                out.append((local, "." * node.level + target))
-    # Later bindings win, matching Python semantics closely enough.
-    dedup: dict[str, str] = {}
-    for local, target in out:
-        dedup[local] = target
-    return sorted(dedup.items())
+                name = f"{node.module}.{alias.name}"
+                kind = source_kind(name) if node.module else None
+                if kind:
+                    add(kind, name, node, "import")
+                if alias.name != "*":
+                    target = ".".join(filter(None, (node.module, alias.name)))
+                    bindings[alias.asname or alias.name] = "." * node.level + target
+    return sorted(bindings.items()), sites
 
 
 # -- the intra-procedural walker -------------------------------------------
@@ -288,9 +350,11 @@ class _FunctionWalker:
         self,
         params: Iterable[str],
         local_funcs: dict[str, "FunctionSummary"],
+        imports: dict[str, str],
     ) -> None:
         self.params = tuple(params)
         self.local_funcs = local_funcs
+        self.imports = imports
         self.calls: dict[tuple[str, int], CallSite] = {}
         self.sinks: dict[tuple[str, str, int, int], set[str]] = {}
         self.submits: dict[tuple[int, int], Submit] = {}
@@ -298,6 +362,12 @@ class _FunctionWalker:
         self.param_key_reads: set[tuple[str, int]] = set()
         self.return_atoms: set[str] = set()
         self.nested: list[str] = []
+
+    def source_kind(self, name: str | None) -> str | None:
+        """The source kind of ``name``, its head resolved through imports."""
+        if name is None:
+            return None
+        return source_kind(_resolve_head(name, self.imports))
 
     # -- expression reduction ---------------------------------------------
 
@@ -317,7 +387,11 @@ class _FunctionWalker:
             return self.atoms(node.value, env)
         if isinstance(node, ast.Subscript):
             self._note_key_read(node, env)
-            return self.atoms(node.value, env) | self.atoms(node.slice, env)
+            out = self.atoms(node.value, env) | self.atoms(node.slice, env)
+            # ``os.environ["X"]``: subscripting the env mapping reads it.
+            if self.source_kind(dotted_name(node.value)) == "env":
+                out |= {"src:env"}
+            return out
         if isinstance(node, ast.Lambda):
             # Reduce the body for call recording; the value itself is an
             # unpicklable closure.
@@ -416,9 +490,9 @@ class _FunctionWalker:
 
         if callee is not None:
             self.calls[(callee, node.lineno)] = CallSite(callee, node.lineno)
-            source = _source_atom(callee)
-            if source is not None:
-                return frozenset(merged | {source})
+            kind = self.source_kind(callee)
+            if kind is not None:
+                return frozenset(merged | {f"src:{kind}"})
             local = self.local_funcs.get(callee)
             if local is not None:
                 # Calls to nested functions expand inline: their return
@@ -690,6 +764,7 @@ def _annotation_name(node: ast.expr) -> str | None:
 def _summarize_function(
     node: ast.FunctionDef | ast.AsyncFunctionDef,
     class_name: str | None,
+    imports: dict[str, str],
 ) -> FunctionSummary:
     params = _param_names(node.args)
 
@@ -699,9 +774,11 @@ def _summarize_function(
         if stmt is node:
             continue
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            local_funcs[stmt.name] = _summarize_function(stmt, class_name=None)
+            local_funcs[stmt.name] = _summarize_function(
+                stmt, class_name=None, imports=imports
+            )
 
-    walker = _FunctionWalker(params, local_funcs)
+    walker = _FunctionWalker(params, local_funcs, imports)
     walker.nested.extend(local_funcs)
     env: dict[str, Atoms] = {}
     # ``self`` is never a taint carrier here.
@@ -816,12 +893,20 @@ def _top_level_statements(stmts: Iterable[ast.stmt]) -> Iterator[ast.stmt]:
             yield stmt
 
 
-def summarize_module(tree: ast.Module, nodes: Iterable[ast.AST]) -> ModuleSummary:
-    """Reduce one parsed module to a :class:`ModuleSummary`.
+def summarize_module(
+    tree: ast.Module, nodes: Iterable[ast.AST]
+) -> tuple[ModuleSummary, tuple[SourceSite, ...]]:
+    """Reduce one parsed module to its :class:`ModuleSummary` and source sites.
 
     ``nodes`` is ``tree`` in ``ast.walk`` order, the list the module rules
-    already share (:attr:`~repro.analysis.core.ModuleContext.nodes`).
+    already share (:attr:`~repro.analysis.core.ModuleContext.nodes`); one
+    pass over it collects the imports and every source site.  The summary
+    is cached with the file record for the project pass; the sites serve
+    only the module rules, which run in the same analysis step, so they
+    stay out of it.
     """
+    import_list, sites = _scan_module(nodes)
+    imports = dict(import_list)
     functions: list[FunctionSummary] = []
     classes: list[tuple[str, tuple[str, ...]]] = []
     class_bases: list[tuple[str, tuple[str, ...]]] = []
@@ -830,7 +915,9 @@ def summarize_module(tree: ast.Module, nodes: Iterable[ast.AST]) -> ModuleSummar
 
     for stmt in _top_level_statements(tree.body):
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            functions.append(_summarize_function(stmt, class_name=None))
+            functions.append(
+                _summarize_function(stmt, class_name=None, imports=imports)
+            )
         elif isinstance(stmt, ast.ClassDef):
             methods: list[str] = []
             digest_method: ast.FunctionDef | ast.AsyncFunctionDef | None = None
@@ -839,7 +926,9 @@ def summarize_module(tree: ast.Module, nodes: Iterable[ast.AST]) -> ModuleSummar
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     methods.append(item.name)
                     functions.append(
-                        _summarize_function(item, class_name=stmt.name)
+                        _summarize_function(
+                            item, class_name=stmt.name, imports=imports
+                        )
                     )
                     if item.name in ("cache_key", "fingerprint"):
                         digest_method = digest_method or item
@@ -868,11 +957,12 @@ def summarize_module(tree: ast.Module, nodes: Iterable[ast.AST]) -> ModuleSummar
                     )
                 )
 
-    return ModuleSummary(
-        imports=tuple(_collect_imports(nodes)),
+    summary = ModuleSummary(
+        imports=tuple(import_list),
         functions=tuple(functions),
         classes=tuple(classes),
         class_bases=tuple(class_bases),
         spec_classes=tuple(spec_classes),
         backends=tuple(backends),
     )
+    return summary, tuple(sites)

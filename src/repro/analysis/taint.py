@@ -47,13 +47,11 @@ def tainted_returns(
     source_atom = f"src:{kind}"
     tainted: dict[str, tuple[str, ...]] = {}
     # Seed: functions returning the source directly.
-    pending: list[tuple[str, object]] = []
     for key, _module, fn in project.functions():
         if source_atom in fn.return_atoms:
             tainted[key] = (key,)
     # Propagate through return-position calls until nothing changes.
     # The graph is small (one repo), so a simple fixpoint is plenty.
-    del pending
     changed = True
     while changed:
         changed = False
