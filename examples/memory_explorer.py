@@ -30,7 +30,7 @@ def main(engine: str = "fast", tiny: bool = False) -> None:
     data_entries = graph.num_vertices + len(graph.neighbors)
 
     # How concentrated is this workload's traffic?  (the Fig. 5 view)
-    trace = IterationTrace()
+    trace = IterationTrace(graph.num_vertices)
     run_dfs(graph, MotifCounting(4), mem=trace)
     curve = locality_curve(graph, trace, fraction=0.05)
     print("top-5% access share by iteration:")

@@ -61,7 +61,7 @@ def main(tiny: bool = False) -> None:
             mem=m)),
     ]
     for name, runner in workloads:
-        classifier = StrideClassifier()
+        classifier = StrideClassifier(graph)
         runner(classifier)
         print(
             f"{name:12s} {classifier.mix.random_vertex_share:>13.1%} "

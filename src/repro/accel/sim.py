@@ -10,9 +10,10 @@ Model structure
 ---------------
 * **Functional phase.**  When a slot needs work, one extension step (one
   candidate proposal + extend-check, or one traceback) runs *functionally*
-  through the shared :func:`~repro.mining.engine.slot_step` with recording
-  ``vertex``/``edge`` callbacks, producing the step's exact operation list
-  (memory requests, then the step's trailing pipeline compute).
+  through the shared :func:`~repro.mining.engine.slot_step`, which appends
+  each access's code (``v`` for vertex ``v``, ``n + i`` for edge slot
+  ``i``) straight into the slot's op list; one END code, ``~cycles``,
+  carries the step's trailing pipeline compute.
   Functional results are byte-identical to the software engine — the
   invariant "sim counts == software counts" is enforced by tests.
 * **Timing phase.**  The recorded operations replay one event at a time
@@ -34,9 +35,11 @@ Implementation
   :class:`~repro.memory.hierarchy.LAMHGeometry` per run, and the run's
   counts become a :class:`~repro.memory.hierarchy.LAMHReport`
   (``self.hierarchy``) for ``gramer profile``.
-* **Batched slot state.**  Per-slot clocks and recorded-op queues are
-  parallel lists indexed by global slot id; work stealing is the shared
-  :class:`~repro.accel.scheduler.Stealer`.
+* **Batched slot state.**  Per-slot clocks and recorded-op queues (plain
+  int lists, filled by their own ``append``) are parallel lists indexed by
+  global slot id; work stealing is the shared
+  :class:`~repro.accel.scheduler.Stealer`.  One rank list indexed by op
+  code gives every request's rank with one lookup.
 * **Calendar event queue.**  Events pop in ``(time, push order)`` order.
   FIFO buckets indexed by cycle (Brown, CACM 1988) give that order with
   list appends; events past the ring's window wait aside and become their
@@ -239,9 +242,15 @@ class GramerSimulator:
         e_addr_off = geo.edge_offset
 
         # Python lists: numpy scalar indexing costs more than the model,
-        # and values are identical post-tolist().
-        vrank = self.vertex_rank.tolist()
-        erank = geo.edge_rank.tolist() if geo.edge_rank is not None else None
+        # and values are identical post-tolist().  An op is its access's
+        # MemoryModel code (vertex v -> v, edge slot i -> n + i), so one
+        # list gives every op's rank: the vertex ranks, then each edge
+        # slot's (in the uniform baseline, its CSR owner's vertex rank).
+        n = graph.num_vertices
+        edge_rank = geo.edge_rank
+        if edge_rank is None:
+            edge_rank = np.repeat(self.vertex_rank, graph.degrees())
+        ranks = self.vertex_rank.tolist() + edge_rank.tolist()
         offsets = graph.offsets.tolist()
         neighbors = graph.neighbors.tolist()
 
@@ -288,17 +297,12 @@ class GramerSimulator:
         slot_time = [0] * G
         slot_gap = [0] * G
         stacks: list[list[Frame]] = [[] for _ in range(G)]
-        # A slot's recorded ops of the step in flight, filled through the
-        # slot's own recorder callbacks: memory ops carry no compute (the
-        # issue cycles precede the first op, the rest trails in the END op).
-        slot_ops: list[list[tuple[int, int, int, int]]] = [[] for _ in range(G)]
-        rec_vertex = [
-            (lambda vid, _a=ops.append: _a((0, vid, 0, 0))) for ops in slot_ops
-        ]
-        rec_edge = [
-            (lambda index, src, _a=ops.append: _a((1, index, src, 0)))
-            for ops in slot_ops
-        ]
+        # A slot's recorded ops of the step in flight: slot_step appends
+        # the access codes straight into the list.  Memory ops carry no
+        # compute (the issue cycles precede the first op); the trailing
+        # compute rides in one END op, code ~pre (negative).
+        slot_ops: list[list[int]] = [[] for _ in range(G)]
+        slot_append = [ops.append for ops in slot_ops]
         pu_free = [0] * P
         pu_busy = [0] * P
         stealers = [
@@ -388,8 +392,7 @@ class GramerSimulator:
                         tg = now
                     ops = slot_ops[g]
                     if ops:
-                        kind, address, src, pre = ops.pop()
-                        tg += pre
+                        code = ops.pop()
                     else:
                         # -- slot needs a new step ---------------------------
                         p = pu_of[g]
@@ -435,7 +438,7 @@ class GramerSimulator:
                             ins.step_started(p, sid_of[g], tg, len(stack))
                         candidate, column = slot_step(
                             offsets, neighbors, stack[-1], clique_only,
-                            scan_probe, rec_vertex[g], rec_edge[g],
+                            scan_probe, slot_append[g],
                         )
                         # The issue compute is charged as the step starts,
                         # its trailing compute (`pre`) when the END op is
@@ -475,113 +478,27 @@ class GramerSimulator:
                                                 sid_of[g], len(stack), tg
                                             )
                         if pre or not ops:
-                            ops.append((2, 0, 0, pre))  # END: trailing compute
+                            ops.append(~pre)  # END: trailing compute
                         # Consumed back-to-front with list.pop(): cheaper
                         # than cursor bookkeeping, and `ops` doubles as the
                         # "step in flight" flag once reversed.
                         ops.reverse()
-                        kind, address, src, pre = ops.pop()
+                        code = ops.pop()
                         # The step's first op claims the PU issue port, and
-                        # the issue compute precedes it (the continuation
-                        # ops above just did `tg += pre`).
+                        # the issue compute precedes it.
                         nf = pu_free[p]
                         start = tg if tg > nf else nf
                         pu_free[p] = start + issue_cycles
-                        tg = start + issue_cycles + pre
+                        tg = start + issue_cycles
 
                     # -- timing phase: service the op ------------------------
-                    if kind == 0:
-                        pi = address % nparts
-                        pf = part_free[pi]
-                        start = tg if tg > pf else pf
-                        part_free[pi] = start + 1
-                        rank = vrank[address]
-                        if rank < v_cut:
-                            done = start + spm_lat
-                            v_hi += 1
-                        else:
-                            v_clock += 1
-                            tag = address // v_line
-                            base = (tag % v_sets) * ways
-                            end = base + ways
-                            w = base
-                            hit = False
-                            while w < end:
-                                if v_tags[w] == tag:
-                                    v_last[w] = v_clock
-                                    hit = True
-                                    break
-                                w += 1
-                            if hit:
-                                done = start + hit_lat
-                                v_lo += 1
-                            else:
-                                victim = -1
-                                w = base
-                                while w < end:
-                                    if v_tags[w] == -1:
-                                        victim = w
-                                        break
-                                    w += 1
-                                if victim < 0:
-                                    v_evict[base] += 1
-                                    if locality:
-                                        victim = base
-                                        best = (
-                                            v_ranks[base] * rank_scale
-                                            + lam * (v_clock - v_last[base])
-                                        )
-                                        w = base + 1
-                                        while w < end:
-                                            score = (
-                                                v_ranks[w] * rank_scale
-                                                + lam * (v_clock - v_last[w])
-                                            )
-                                            if score > best:
-                                                best = score
-                                                victim = w
-                                            w += 1
-                                    else:
-                                        victim = base
-                                        stale = v_last[base]
-                                        w = base + 1
-                                        while w < end:
-                                            lw = v_last[w]
-                                            if lw < stale:
-                                                stale = lw
-                                                victim = w
-                                            w += 1
-                                v_tags[victim] = tag
-                                v_ranks[victim] = rank
-                                v_last[victim] = v_clock
-                                ch = address % nch
-                                cf = ch_free[ch]
-                                ds = start if start > cf else cf
-                                ch_free[ch] = ds + d_cpt
-                                done = ds + d_lat
-                                v_miss += 1
-                                if ins is not None:
-                                    ins.dram_fetch(
-                                        pu_of[g], sid_of[g], 0, address,
-                                        ts=start, dur=done - start, channel=ch,
-                                    )
-                        if trace is not None:
-                            trace.cycle = start
-                            if rank < v_cut:
-                                v_serve(rank, "high")
-                            elif hit:
-                                v_serve(rank, "low_hit")
-                            else:
-                                v_fill(tag)
-                                v_serve(rank, "miss")
-                        v_wait += done - tg
-                        tg = done
-                    elif kind == 1:
+                    if code >= n:  # edge slot `code - n`
+                        address = code - n
                         pi = (address // part_line) % nparts
                         pf = part_free[pi]
                         start = tg if tg > pf else pf
                         part_free[pi] = start + 1
-                        rank = erank[address] if erank is not None else vrank[src]
+                        rank = ranks[code]
                         if rank < e_cut:
                             done = start + spm_lat
                             e_hi += 1
@@ -668,7 +585,95 @@ class GramerSimulator:
                                 e_serve(rank, "miss")
                         e_wait += done - tg
                         tg = done
+                    elif code >= 0:  # vertex record `code`
+                        pi = code % nparts
+                        pf = part_free[pi]
+                        start = tg if tg > pf else pf
+                        part_free[pi] = start + 1
+                        rank = ranks[code]
+                        if rank < v_cut:
+                            done = start + spm_lat
+                            v_hi += 1
+                        else:
+                            v_clock += 1
+                            tag = code // v_line
+                            base = (tag % v_sets) * ways
+                            end = base + ways
+                            w = base
+                            hit = False
+                            while w < end:
+                                if v_tags[w] == tag:
+                                    v_last[w] = v_clock
+                                    hit = True
+                                    break
+                                w += 1
+                            if hit:
+                                done = start + hit_lat
+                                v_lo += 1
+                            else:
+                                victim = -1
+                                w = base
+                                while w < end:
+                                    if v_tags[w] == -1:
+                                        victim = w
+                                        break
+                                    w += 1
+                                if victim < 0:
+                                    v_evict[base] += 1
+                                    if locality:
+                                        victim = base
+                                        best = (
+                                            v_ranks[base] * rank_scale
+                                            + lam * (v_clock - v_last[base])
+                                        )
+                                        w = base + 1
+                                        while w < end:
+                                            score = (
+                                                v_ranks[w] * rank_scale
+                                                + lam * (v_clock - v_last[w])
+                                            )
+                                            if score > best:
+                                                best = score
+                                                victim = w
+                                            w += 1
+                                    else:
+                                        victim = base
+                                        stale = v_last[base]
+                                        w = base + 1
+                                        while w < end:
+                                            lw = v_last[w]
+                                            if lw < stale:
+                                                stale = lw
+                                                victim = w
+                                            w += 1
+                                v_tags[victim] = tag
+                                v_ranks[victim] = rank
+                                v_last[victim] = v_clock
+                                ch = code % nch
+                                cf = ch_free[ch]
+                                ds = start if start > cf else cf
+                                ch_free[ch] = ds + d_cpt
+                                done = ds + d_lat
+                                v_miss += 1
+                                if ins is not None:
+                                    ins.dram_fetch(
+                                        pu_of[g], sid_of[g], 0, code,
+                                        ts=start, dur=done - start, channel=ch,
+                                    )
+                        if trace is not None:
+                            trace.cycle = start
+                            if rank < v_cut:
+                                v_serve(rank, "high")
+                            elif hit:
+                                v_serve(rank, "low_hit")
+                            else:
+                                v_fill(tag)
+                                v_serve(rank, "miss")
+                        v_wait += done - tg
+                        tg = done
                     else:  # END: the step's trailing compute
+                        pre = ~code
+                        tg += pre
                         compute_cycles += pre
 
                     if not ops:

@@ -205,9 +205,15 @@ def _impure_nodes(scope: ast.AST) -> Iterator[tuple[ast.AST, str]]:
     "filesystem/environment access inside a memoized scope",
 )
 def impure_memoized_scope(context: ModuleContext) -> Iterator[Finding]:
+    # One finding per node, naming its innermost memoized scope: the walk
+    # reaches an enclosing scope before the scopes nested in it, so a later
+    # scope's claim on a node replaces the enclosing one's.
+    impure: dict[int, tuple[ast.AST, str, str]] = {}
     for description, scope in _memoized_scopes(context.nodes):
         for node, what in _impure_nodes(scope):
-            yield context.finding(
+            impure[id(node)] = (node, what, description)
+    for node, what, description in impure.values():
+        yield context.finding(
                 node,
                 "GRM203",
                 f"{what} inside {description} — the memoized result would "

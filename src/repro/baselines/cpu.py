@@ -19,6 +19,7 @@ constants, documented in DESIGN.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -137,7 +138,9 @@ class _LRULevel:
 
 
 #: Accesses recorded before the hierarchy resolves them in bulk.  The bound
-#: keeps the pending stream's memory fixed however long the run.
+#: is checked whenever a driver sets ``depth`` (once per DFS frame or BFS
+#: embedding), so the pending stream holds at most this many codes plus one
+#: frame's accesses, however long the run.
 _PENDING_LIMIT = 8192
 
 
@@ -152,23 +155,28 @@ class CPUMemory:
     access's dimension — mirroring how VTune attributes memory-bound stalls
     in the paper's Fig. 3 methodology.
 
-    Accesses are recorded, then resolved in bulk: ``vertex``/``edge`` only
-    append a byte address, and a full buffer or any read of ``breakdown``
-    runs the pending stream level by level — L1 over the whole stream, L2
-    over L1's misses, L3 over L2's misses — with the cycle sums taken from
-    per-level hit and miss counts.  Every level is a pure LRU, so the
-    result equals charging each access through the stack as it happens.
+    Accesses are recorded, then resolved in bulk: ``access`` is the
+    pending list's own ``append``, so recording a
+    :class:`~repro.mining.engine.MemoryModel` code (the access's CSR word
+    address) runs no Python code.  A full buffer at a ``depth`` change or
+    any read of ``breakdown`` turns the pending codes into byte addresses
+    (``code * entry_bytes``: the offsets array, then the neighbors array)
+    and runs them level by level — L1 over the whole stream, L2 over L1's
+    misses, L3 over L2's misses — with the cycle sums taken from per-level
+    hit and miss counts.  Every level is a pure LRU, so the result equals
+    charging each access through the stack as it happens.
     """
 
     def __init__(self, graph: CSRGraph, config: CPUConfig | None = None) -> None:
         self.config = config if config is not None else CPUConfig()
         cfg = self.config
-        self.depth = 0
+        self._depth = 0
         self._breakdown = CPUTimeBreakdown()
         self._entry_bytes = cfg.entry_bytes
         self._edge_region_base = graph.num_vertices * cfg.entry_bytes
         self._num_edge_slots = len(graph.neighbors)
         self._pending: list[int] = []
+        self.access: Callable[[int], None] = self._pending.append
         # Line of the last resolved access: an immediate repeat of it is an
         # L1 hit that changes no state.
         self._last_line = -1
@@ -180,6 +188,17 @@ class CPUMemory:
         self.l1 = _LRULevel(cfg.l1_bytes, cfg)
         self.l2 = _LRULevel(cfg.l2_bytes, cfg)
         self.l3 = _LRULevel(cfg.l3_bytes, cfg)
+
+    @property
+    def depth(self) -> int:
+        """Size of the embedding being extended (set by the drivers)."""
+        return self._depth
+
+    @depth.setter
+    def depth(self, value: int) -> None:
+        self._depth = value
+        if len(self._pending) >= _PENDING_LIMIT:
+            self.resolve()
 
     @property
     def breakdown(self) -> CPUTimeBreakdown:
@@ -194,7 +213,7 @@ class CPUMemory:
             return
         cfg = self.config
         bd = self._breakdown
-        addresses = np.array(pending, dtype=np.int64)
+        addresses = np.array(pending, dtype=np.int64) * self._entry_bytes
         pending.clear()
         lines = addresses // cfg.line_bytes
         previous = np.concatenate(([self._last_line], lines[:-1]))
@@ -258,18 +277,6 @@ class CPUMemory:
             level.load_sweep(num_lines)
         self._last_line = -1
         self._breakdown = CPUTimeBreakdown()
-
-    def vertex(self, vid: int) -> None:
-        pending = self._pending
-        pending.append(vid * self._entry_bytes)
-        if len(pending) >= _PENDING_LIMIT:
-            self.resolve()
-
-    def edge(self, index: int, src: int) -> None:
-        pending = self._pending
-        pending.append(self._edge_region_base + index * self._entry_bytes)
-        if len(pending) >= _PENDING_LIMIT:
-            self.resolve()
 
     def charge_candidate(self, count: int = 1) -> None:
         """Framework overhead for processing ``count`` candidates."""

@@ -35,7 +35,7 @@ def run(scale: str = "small", graph_name: str = "p2p") -> list[dict]:
         PageRank(tolerance=1e-3),
     ]
     for program in processing:
-        classifier = StrideClassifier()
+        classifier = StrideClassifier(graph)
         run_vertex_program(graph, program, mem=classifier)
         rows.append(
             {
@@ -49,7 +49,7 @@ def run(scale: str = "small", graph_name: str = "p2p") -> list[dict]:
 
     for app_name in ("3-CF", "3-MC", "4-MC"):
         app = build_app(app_name, graph_name, scale)
-        classifier = StrideClassifier()
+        classifier = StrideClassifier(graph)
         run_dfs(graph, app, mem=classifier)
         rows.append(
             {

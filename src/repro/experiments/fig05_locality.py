@@ -27,7 +27,7 @@ def run(scale: str = "small", max_size: int = 4, fraction: float = 0.05) -> list
     rows = []
     for graph_name in FIG5_GRAPHS:
         graph = datasets.load(graph_name, scale)
-        trace = IterationTrace()
+        trace = IterationTrace(graph.num_vertices)
         run_dfs(graph, MotifCounting(max_size), mem=trace)
         curve = locality_curve(graph, trace, fraction)
         rows.append(

@@ -31,7 +31,7 @@ def run(
 ) -> dict:
     """Accuracy per (hops, iteration) and normalised ON-computation cost."""
     graph = datasets.load(graph_name, scale)
-    trace = IterationTrace()
+    trace = IterationTrace(graph.num_vertices)
     start = time.perf_counter()
     run_dfs(graph, MotifCounting(max_size), mem=trace)
     mining_seconds = time.perf_counter() - start

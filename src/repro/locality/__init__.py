@@ -14,7 +14,7 @@ from .occurrence import (
     top_fraction_vertices,
 )
 from .stride import AccessMix, StrideClassifier
-from .trace import AccessCounter, CallbackMemory, IterationTrace
+from .trace import AccessCounter, IterationTrace
 
 __all__ = [
     "LocalityCurve",
@@ -29,6 +29,5 @@ __all__ = [
     "AccessMix",
     "StrideClassifier",
     "AccessCounter",
-    "CallbackMemory",
     "IterationTrace",
 ]

@@ -12,6 +12,12 @@ source vertex), a vertex access is sequential when IDs ascend by one
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.graph.csr import CSRGraph
 
 __all__ = ["AccessMix", "StrideClassifier"]
 
@@ -66,22 +72,33 @@ class AccessMix:
 
 
 class StrideClassifier:
-    """MemoryModel adapter that buckets accesses by stride."""
+    """MemoryModel adapter that buckets ``graph``'s accesses by stride.
 
-    def __init__(self) -> None:
+    An edge access's stream is its slot's CSR owner, the vertex whose
+    adjacency slice holds the slot.
+    """
+
+    def __init__(self, graph: "CSRGraph") -> None:
         self.depth = 0
         self.mix = AccessMix()
+        self._num_vertices = graph.num_vertices
+        self._owner: list[int] = np.repeat(
+            np.arange(graph.num_vertices), graph.degrees()
+        ).tolist()
         self._last_vertex: int | None = None
         self._last_edge_by_src: dict[int, int] = {}
 
-    def vertex(self, vid: int) -> None:
-        if self._last_vertex is not None and vid == self._last_vertex + 1:
-            self.mix.sequential_vertex += 1
-        else:
-            self.mix.random_vertex += 1
-        self._last_vertex = vid
-
-    def edge(self, index: int, src: int) -> None:
+    def access(self, code: int) -> None:
+        n = self._num_vertices
+        if code < n:
+            if self._last_vertex is not None and code == self._last_vertex + 1:
+                self.mix.sequential_vertex += 1
+            else:
+                self.mix.random_vertex += 1
+            self._last_vertex = code
+            return
+        index = code - n
+        src = self._owner[index]
         last = self._last_edge_by_src.get(src)
         if last is not None and index == last + 1:
             self.mix.sequential_edge += 1

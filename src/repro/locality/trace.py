@@ -11,26 +11,31 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable
 
-__all__ = ["AccessCounter", "IterationTrace", "CallbackMemory"]
+__all__ = ["AccessCounter", "IterationTrace"]
 
 
 class AccessCounter:
-    """Flat access totals (no per-iteration split)."""
+    """Flat access totals (no per-iteration split).
 
-    __slots__ = ("depth", "vertex_counts", "edge_counts")
+    ``num_vertices`` decodes the engine's access codes: codes below it are
+    vertex records, the rest are edge slots ``code - num_vertices``.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("depth", "num_vertices", "vertex_counts", "edge_counts")
+
+    def __init__(self, num_vertices: int) -> None:
         self.depth = 0
+        self.num_vertices = num_vertices
         self.vertex_counts: Counter[int] = Counter()
         self.edge_counts: Counter[int] = Counter()
 
-    def vertex(self, vid: int) -> None:
-        self.vertex_counts[vid] += 1
-
-    def edge(self, index: int, src: int) -> None:
-        self.edge_counts[index] += 1
+    def access(self, code: int) -> None:
+        n = self.num_vertices
+        if code < n:
+            self.vertex_counts[code] += 1
+        else:
+            self.edge_counts[code - n] += 1
 
     @property
     def total_vertex_accesses(self) -> int:
@@ -54,11 +59,13 @@ class IterationTrace:
 
     ``depth`` (set by the engine) is the size of the embedding being
     extended, which equals the paper's iteration number: iteration ``i``
-    extends ``i``-vertex embeddings into ``(i+1)``-vertex ones.
+    extends ``i``-vertex embeddings into ``(i+1)``-vertex ones.  Access
+    codes decode as in :class:`AccessCounter`.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, num_vertices: int) -> None:
         self.depth = 0
+        self.num_vertices = num_vertices
         self.buckets: dict[int, _IterationBucket] = {}
 
     def _bucket(self) -> _IterationBucket:
@@ -68,11 +75,12 @@ class IterationTrace:
             self.buckets[self.depth] = bucket
         return bucket
 
-    def vertex(self, vid: int) -> None:
-        self._bucket().vertex_counts[vid] += 1
-
-    def edge(self, index: int, src: int) -> None:
-        self._bucket().edge_counts[index] += 1
+    def access(self, code: int) -> None:
+        n = self.num_vertices
+        if code < n:
+            self._bucket().vertex_counts[code] += 1
+        else:
+            self._bucket().edge_counts[code - n] += 1
 
     @property
     def iterations(self) -> list[int]:
@@ -86,24 +94,3 @@ class IterationTrace:
     def edge_counts(self, iteration: int) -> Counter[int]:
         """Edge-slot access counts for one iteration."""
         return self.buckets[iteration].edge_counts
-
-
-class CallbackMemory:
-    """Adapter forwarding engine events to callables (used by the sim glue)."""
-
-    __slots__ = ("depth", "_on_vertex", "_on_edge")
-
-    def __init__(
-        self,
-        on_vertex: Callable[[int], None],
-        on_edge: Callable[[int, int], None],
-    ) -> None:
-        self.depth = 0
-        self._on_vertex = on_vertex
-        self._on_edge = on_edge
-
-    def vertex(self, vid: int) -> None:
-        self._on_vertex(vid)
-
-    def edge(self, index: int, src: int) -> None:
-        self._on_edge(index, src)

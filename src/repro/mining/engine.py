@@ -32,6 +32,11 @@ embedding vertices" and "random access on embedding edges": the embedding's
 members, which are disproportionately high-degree vertices, are the ones
 whose records and edges get hammered, which is exactly the extension
 locality GRAMER exploits.
+
+The stream is charged as plain ints: each access is one ``access(code)``
+call whose code is the CSR word address (``v`` for vertex ``v``'s record,
+``n + i`` for ``neighbors[i]``; see :class:`MemoryModel`).  Consumers that
+price or record it decode the code; the kernel never builds a tuple.
 """
 
 from __future__ import annotations
@@ -56,6 +61,14 @@ __all__ = [
 class MemoryModel(Protocol):
     """What the engine charges accesses to.
 
+    ``access(code)`` charges one access.  The code is the CSR word address
+    of the access: ``v`` for vertex ``v``'s offset record and ``n + i``
+    for ``neighbors[i]``, ``n`` being the vertex count.  So a code below
+    ``n`` is a vertex access, and the slot's owner is the vertex whose
+    slice holds ``i``; a model that needs either decodes it.  Drivers
+    fetch ``access`` once per run, so a model may expose a C-level
+    callable such as a list's ``append``.
+
     ``depth`` is set by the engine before each operation to the size of the
     embedding being extended; it equals the paper's iteration number, which
     the Fig. 5 locality analysis buckets on.
@@ -63,11 +76,8 @@ class MemoryModel(Protocol):
 
     depth: int
 
-    def vertex(self, vid: int) -> None:
-        """Charge one access to vertex ``vid``'s CSR offset entry."""
-
-    def edge(self, index: int, src: int) -> None:
-        """Charge one access to ``neighbors[index]`` (source vertex ``src``)."""
+    def access(self, code: int) -> None:
+        """Charge one access to CSR word ``code``."""
 
 
 class NullMemory:
@@ -82,10 +92,7 @@ class NullMemory:
     def __init__(self) -> None:
         self.depth = 0
 
-    def vertex(self, vid: int) -> None:
-        pass
-
-    def edge(self, index: int, src: int) -> None:
+    def access(self, code: int) -> None:
         pass
 
 
@@ -153,21 +160,22 @@ def _charged(mem: MemoryModel | None) -> MemoryModel | None:
 def _extend_check(
     offsets: list[int],
     neighbors: list[int],
+    n: int,
     vertices: tuple[int, ...],
     member_idx: int,
     candidate: int,
     clique_only: bool,
-    vertex: Callable[[int], None] | None,
-    edge: Callable[[int, int], None] | None,
+    access: Callable[[int], None] | None,
     scan: bool,
 ) -> int:
     """The extend-check kernel: accept or reject one candidate.
 
     Returns the adjacency column of ``candidate`` over the embedding
     members (bit ``member_idx`` is always set), or 0 when the candidate is
-    rejected.  ``offsets``/``neighbors`` are the CSR arrays as Python lists;
-    ``vertex``/``edge`` are the memory model's charge methods, or ``None``
-    for an uncharged run.
+    rejected.  ``offsets``/``neighbors`` are the CSR arrays as Python lists
+    over ``n`` vertices; ``access`` is the memory model's charge callable
+    (see :class:`MemoryModel` for the codes), or ``None`` for an uncharged
+    run.
 
     Rejections happen for (in cost order): ID-canonicality failure
     (conditions 1, 3 and 4 of :mod:`repro.mining.canonical` — free, the IDs
@@ -202,15 +210,15 @@ def _extend_check(
         if i == member_idx:
             continue
         # Random vertex access: the member's offsets locate its slice.
-        if vertex is not None:
-            vertex(member)
+        if access is not None:
+            access(member)
         lo = offsets[member]
         hi = offsets[member + 1]
         adjacent = False
         if scan:
             for index in range(lo, hi):
-                if edge is not None:
-                    edge(index, member)
+                if access is not None:
+                    access(n + index)
                 value = neighbors[index]
                 if value >= candidate:  # sorted: cannot appear later
                     adjacent = value == candidate
@@ -218,8 +226,8 @@ def _extend_check(
         else:
             while lo < hi:
                 mid = (lo + hi) // 2
-                if edge is not None:
-                    edge(mid, member)
+                if access is not None:
+                    access(n + mid)
                 value = neighbors[mid]
                 if value == candidate:
                     adjacent = True
@@ -245,8 +253,7 @@ def slot_step(
     frame: Frame,
     clique_only: bool,
     scan: bool,
-    vertex: Callable[[int], None],
-    edge: Callable[[int, int], None],
+    access: Callable[[int], None],
 ) -> tuple[int | None, int]:
     """One GRAMER slot step: advance ``frame`` and extend-check its candidate.
 
@@ -256,16 +263,20 @@ def slot_step(
     when work stealing split it — is exhausted.  Activating a member
     charges its vertex access and every adjacency slot read one edge
     access, then the check charges its probes; ``scan`` selects the probe
-    shape.  Only memory accesses are charged: the simulators that step
+    shape.  Each access is one ``access(code)`` call with a
+    :class:`MemoryModel` code, so a simulator can pass a list's
+    ``append`` and record the step's accesses with no Python frame per
+    access.  Only memory accesses are charged: the simulators that step
     frames this way own their compute and timing.
     """
+    n = len(offsets) - 1
     vertices = frame.vertices
     m_idx = frame.member_idx
     while m_idx < frame.member_limit:
         base = frame.member_base
         if base < 0:
             member = vertices[m_idx]
-            vertex(member)
+            access(member)
             base = offsets[member]
             frame.member_base = base
             frame.member_degree = offsets[member + 1] - base
@@ -277,11 +288,11 @@ def slot_step(
         if cursor < bound:
             index = base + cursor
             frame.edge_cursor = cursor + 1
-            edge(index, vertices[m_idx])
+            access(n + index)
             candidate = neighbors[index]
             return candidate, _extend_check(
-                offsets, neighbors, vertices, m_idx, candidate, clique_only,
-                vertex, edge, scan,
+                offsets, neighbors, n, vertices, m_idx, candidate,
+                clique_only, access, scan,
             )
         m_idx += 1
         frame.member_idx = m_idx
@@ -309,8 +320,8 @@ def run_dfs(
     a frame becomes the top of the stack.
     """
     mem = _charged(mem)
-    vertex = mem.vertex if mem is not None else None
-    edge = mem.edge if mem is not None else None
+    access = mem.access if mem is not None else None
+    n = graph.num_vertices
     # Per-run lists, not a memo on the graph: the graph store keeps opened
     # graphs alive, and a memo would pin these lists with them.
     offsets = graph.offsets.tolist()
@@ -340,20 +351,20 @@ def run_dfs(
                 while m_idx < num_members:
                     member = vertices[m_idx]
                     if base < 0:
-                        if vertex is not None:
-                            vertex(member)
+                        if access is not None:
+                            access(member)
                         base = offsets[member]
                         start = base
                     else:
                         start = base + frame.edge_cursor
                     for index in range(start, offsets[member + 1]):
-                        if edge is not None:
-                            edge(index, member)
+                        if access is not None:
+                            access(n + index)
                         candidate = neighbors[index]
                         checked += 1
                         column = _extend_check(
-                            offsets, neighbors, vertices, m_idx, candidate,
-                            clique_only, vertex, edge, False,
+                            offsets, neighbors, n, vertices, m_idx, candidate,
+                            clique_only, access, False,
                         )
                         if not column:
                             continue
@@ -413,8 +424,8 @@ def run_bfs(
     each embedding's members and their adjacency slices.
     """
     mem = _charged(mem)
-    vertex = mem.vertex if mem is not None else None
-    edge = mem.edge if mem is not None else None
+    access = mem.access if mem is not None else None
+    n = graph.num_vertices
     offsets = graph.offsets.tolist()
     neighbors = graph.neighbors.tolist()
     app.prepare(graph)
@@ -439,16 +450,16 @@ def run_bfs(
                 if mem is not None:
                     mem.depth = len(vertices)
                 for m_idx, member in enumerate(vertices):
-                    if vertex is not None:
-                        vertex(member)
+                    if access is not None:
+                        access(member)
                     for index in range(offsets[member], offsets[member + 1]):
-                        if edge is not None:
-                            edge(index, member)
+                        if access is not None:
+                            access(n + index)
                         candidate = neighbors[index]
                         checked += 1
                         column = _extend_check(
-                            offsets, neighbors, vertices, m_idx, candidate,
-                            clique_only, vertex, edge, False,
+                            offsets, neighbors, n, vertices, m_idx, candidate,
+                            clique_only, access, False,
                         )
                         if not column:
                             continue

@@ -10,9 +10,9 @@ are streamed sequentially per active vertex.
 This module implements that model so the repository can quantify the
 contrast on identical graphs with identical instrumentation: the engine
 charges the same :class:`~repro.mining.engine.MemoryModel` protocol as the
-mining engine (``vertex`` = one vertex-value access, ``edge`` = one
-adjacency-slot read), so the same trace classifiers and CPU timing model
-apply to both workload classes.
+mining engine (code ``v`` = one access to vertex ``v``'s value, code
+``n + i`` = one read of adjacency slot ``i``), so the same trace
+classifiers and CPU timing model apply to both workload classes.
 """
 
 from __future__ import annotations
@@ -83,6 +83,8 @@ def run_vertex_program(
     frontier = sorted(set(program.initial_frontier(graph)))
     offsets = graph.offsets
     neighbors = graph.neighbors
+    access = mem.access
+    n = graph.num_vertices
 
     supersteps = 0
     while frontier:
@@ -92,17 +94,19 @@ def run_vertex_program(
                 f"{program.name} did not converge within {max_iterations} "
                 "supersteps"
             )
-        mem.depth = supersteps
         next_frontier: set[int] = set()
         updates: list[tuple[int, object]] = []
         for u in frontier:
-            mem.vertex(u)  # random access on the active vertex (Fig. 2a)
+            # Set per active vertex, as the mining drivers set it per frame,
+            # so a buffering model can bound its pending stream there.
+            mem.depth = supersteps
+            access(u)  # random access on the active vertex (Fig. 2a)
             accumulator = None
             lo, hi = int(offsets[u]), int(offsets[u + 1])
             for index in range(lo, hi):
-                mem.edge(index, u)  # sequential edge streaming
+                access(n + index)  # sequential edge streaming
                 v = int(neighbors[index])
-                mem.vertex(v)  # random access on the neighbour's value
+                access(v)  # random access on the neighbour's value
                 accumulator = program.gather(accumulator, values[v], u, v)
             new_value = program.apply(u, values[u], accumulator)
             if not program.converged(values[u], new_value):

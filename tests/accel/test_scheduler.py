@@ -55,7 +55,7 @@ def step(graph, frame, clique_only=False):
     mem = NullMemory()
     return slot_step(
         graph.offsets.tolist(), graph.neighbors.tolist(), frame, clique_only,
-        False, mem.vertex, mem.edge,
+        False, mem.access,
     )
 
 

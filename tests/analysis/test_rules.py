@@ -246,6 +246,18 @@ class TestRuleEdgeCases:
         )
         assert check_source(source, "s.py") == []
 
+    def test_nested_memoized_scopes_report_once(self):
+        """An access inside a producer inside ``Backend.run`` is one finding,
+        naming the innermost scope."""
+        source = (
+            "class FooBackend:\n"
+            "    def run(self, cache, key):\n"
+            "        return cache.get_or_create(key, lambda: open(key))\n"
+        )
+        findings = check_source(source, "s.py")
+        assert [(f.rule_id, f.line) for f in findings] == [("GRM203", 3)]
+        assert "get_or_create producer" in findings[0].message
+
     def test_non_pool_submit_receiver_allowed(self):
         source = "def f(form, graph):\n    return form.submit(graph)\n"
         assert check_source(source, "s.py") == []

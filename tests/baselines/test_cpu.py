@@ -1,5 +1,7 @@
 """CPU cache-hierarchy timing model."""
 
+import importlib
+
 import pytest
 
 from repro.baselines.cpu import CPUConfig, CPUMemory
@@ -18,27 +20,27 @@ class TestCPUMemory:
     def test_l1_hit_costs_no_stall(self):
         g = erdos_renyi(50, 100, seed=1)
         mem = CPUMemory(g)
-        mem.vertex(0)
-        mem.vertex(0)  # L1 hit
+        mem.access(0)
+        mem.access(0)  # L1 hit
         assert mem.breakdown.vertex_stall_cycles > 0  # first access missed
         stalls = mem.breakdown.vertex_stall_cycles
-        mem.vertex(0)
+        mem.access(0)
         assert mem.breakdown.vertex_stall_cycles == stalls
 
     def test_vertex_edge_attribution(self):
         g = erdos_renyi(50, 100, seed=1)
         mem = CPUMemory(g)
-        mem.vertex(0)
+        mem.access(0)
         assert mem.breakdown.edge_stall_cycles == 0
-        mem.edge(0, 0)
+        mem.access(g.num_vertices)  # neighbors[0]
         assert mem.breakdown.edge_stall_cycles > 0
 
     def test_line_spatial_locality(self):
         g = erdos_renyi(50, 100, seed=1)
         mem = CPUMemory(g)
-        mem.edge(0, 0)
+        mem.access(g.num_vertices)  # neighbors[0]
         before = mem.breakdown.edge_stall_cycles
-        mem.edge(1, 0)  # same 64-byte line: 8 entries per line
+        mem.access(g.num_vertices + 1)  # same 64-byte line: 8 entries per line
         assert mem.breakdown.edge_stall_cycles == before
 
     def test_bigger_footprint_more_stalls(self):
@@ -91,3 +93,66 @@ class TestCPUMemory:
             mem.breakdown.compute_cycles
             == before + 10 * mem.config.cycles_per_candidate
         )
+
+
+class _PendingProbe(CPUMemory):
+    """``CPUMemory`` that measures its pending stream.
+
+    ``peak`` is the most codes ever pending (the stream is longest just
+    before it resolves); ``frame`` is the most accesses charged between
+    two ``depth`` sets, i.e. one DFS frame's or BFS embedding's share.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.peak = 0
+        self.frame = 0
+        self._since = 0
+
+    @property
+    def depth(self):
+        return CPUMemory.depth.fget(self)
+
+    @depth.setter
+    def depth(self, value):
+        self.frame = max(self.frame, len(self._pending) - self._since)
+        CPUMemory.depth.fset(self, value)
+        self._since = len(self._pending)
+
+    def resolve(self):
+        self.frame = max(self.frame, len(self._pending) - self._since)
+        self.peak = max(self.peak, len(self._pending))
+        super().resolve()
+        self._since = 0
+
+
+class TestPendingBound:
+    """The pending stream stays bounded however long the run."""
+
+    @pytest.mark.parametrize(
+        "module, model",
+        [("fractal", "FractalModel"), ("rstream", "RStreamModel")],
+    )
+    def test_patents_run_holds_limit_plus_one_frame(
+        self, monkeypatch, module, model
+    ):
+        from repro.baselines import cpu
+        from repro.experiments import datasets
+
+        probes = []
+
+        def probe(*args, **kwargs):
+            probes.append(_PendingProbe(*args, **kwargs))
+            return probes[-1]
+
+        baseline = importlib.import_module(f"repro.baselines.{module}")
+        monkeypatch.setattr(baseline, "CPUMemory", probe)
+        graph = datasets.load("patents", "tiny")
+        result = getattr(baseline, model)(
+            datasets.scaled_cpu_config("tiny")
+        ).run(graph, MotifCounting(3))
+        (memory,) = probes
+        # The run is many buffers long, so the bound is exercised.
+        assert result.breakdown.accesses > 5 * cpu._PENDING_LIMIT
+        assert 0 < memory.frame < cpu._PENDING_LIMIT
+        assert memory.peak <= cpu._PENDING_LIMIT + memory.frame

@@ -81,13 +81,10 @@ class OracleCPUMemory:
         for cache in (self.l1, self.l2, self.l3):
             cache.stats.reset()
 
-    def vertex(self, vid: int) -> None:
-        self._charge(vid * self.config.entry_bytes, is_vertex=True)
-
-    def edge(self, index: int, src: int) -> None:
+    def access(self, code: int) -> None:
+        byte_address = code * self.config.entry_bytes
         self._charge(
-            self._edge_region_base + index * self.config.entry_bytes,
-            is_vertex=False,
+            byte_address, is_vertex=byte_address < self._edge_region_base
         )
 
     def charge_candidate(self, count: int = 1) -> None:

@@ -8,7 +8,10 @@ each member's slice in :func:`_search_adjacency`.
 every ``candidates_checked`` count, every frontier-observer call and every
 ``(depth, kind, id, src)`` memory access.  Its ``slot_step`` must step
 every frame, whole or split by work stealing, like one
-:func:`advance_frame` + :func:`check_candidate` pair.
+:func:`advance_frame` + :func:`check_candidate` pair.  These drivers
+charge a :class:`StepRecorder` with the kind and the source vertex
+spelled out, so the engine's one-int access codes are held to an
+independent decoding.
 
 :class:`ReferenceSimulator` is GRAMER's cycle model (§V, Fig. 6) in its
 per-event form: one heap pop per event, per-PU and per-slot objects, and
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Protocol
 
 import numpy as np
 
@@ -38,13 +41,7 @@ from repro.accel.sim import (
 )
 from repro.accel.stats import SimStats
 from repro.mining.canonical import id_checks_pass
-from repro.mining.engine import (
-    Frame,
-    FrontierOverflowError,
-    MemoryModel,
-    NullMemory,
-    slot_step,
-)
+from repro.mining.engine import Frame, FrontierOverflowError, slot_step
 
 from .lamh_oracle import AccessLevel, DRAMModel, build_hierarchy
 
@@ -55,6 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.hooks import SimInstrument
 
 __all__ = [
+    "StepRecorder",
     "advance_frame",
     "check_candidate",
     "run_dfs",
@@ -64,7 +62,31 @@ __all__ = [
 ]
 
 
-def advance_frame(graph: "CSRGraph", frame: Frame, mem: MemoryModel) -> int | None:
+class StepRecorder(Protocol):
+    """What the step-wise drivers charge: one call per access, by kind."""
+
+    depth: int
+
+    def vertex(self, vid: int) -> None:
+        """One access to vertex ``vid``'s CSR record."""
+
+    def edge(self, index: int, src: int) -> None:
+        """One access to ``neighbors[index]``, in source ``src``'s slice."""
+
+
+class _NullRecorder:
+    """The step-wise drivers' uncharged run."""
+
+    depth = 0
+
+    def vertex(self, vid: int) -> None:
+        pass
+
+    def edge(self, index: int, src: int) -> None:
+        pass
+
+
+def advance_frame(graph: "CSRGraph", frame: Frame, mem: StepRecorder) -> int | None:
     """Produce the next raw candidate of ``frame`` (or ``None`` if done).
 
     Advances the member/cursor state, charging the member vertex access on
@@ -94,7 +116,7 @@ def advance_frame(graph: "CSRGraph", frame: Frame, mem: MemoryModel) -> int | No
 
 
 def _search_adjacency(
-    graph: "CSRGraph", u: int, target: int, mem: MemoryModel,
+    graph: "CSRGraph", u: int, target: int, mem: StepRecorder,
     probe: str = "binary",
 ) -> bool:
     """Membership test for ``target`` in ``u``'s adjacency.
@@ -142,7 +164,7 @@ def check_candidate(
     member_idx: int,
     candidate: int,
     clique_only: bool,
-    mem: MemoryModel,
+    mem: StepRecorder,
     probe: str = "binary",
 ) -> tuple[bool, int]:
     """Run the full extend-check on one candidate.
@@ -181,7 +203,7 @@ def check_candidate(
 def run_dfs(
     graph: "CSRGraph",
     app: "Application",
-    mem: MemoryModel | None = None,
+    mem: StepRecorder | None = None,
     roots: Iterable[int] | None = None,
 ) -> "Application":
     """Depth-first enumeration (the Fractal / GRAMER execution model §V-A).
@@ -190,7 +212,7 @@ def run_dfs(
     application's maximum size before the next root starts; intermediate
     embeddings live only on the stack, never in off-chip storage.
     """
-    mem = mem if mem is not None else NullMemory()
+    mem = mem if mem is not None else _NullRecorder()
     app.prepare(graph)
     root_iter = roots if roots is not None else range(graph.num_vertices)
     clique_only = app.clique_only
@@ -228,7 +250,7 @@ def run_dfs(
 def run_bfs(
     graph: "CSRGraph",
     app: "Application",
-    mem: MemoryModel | None = None,
+    mem: StepRecorder | None = None,
     max_frontier: int = 10_000_000,
     frontier_observer=None,
 ) -> "Application":
@@ -241,7 +263,7 @@ def run_bfs(
     intermediate-embedding traffic and the join-intermediate tuples its
     relational plan materialises.
     """
-    mem = mem if mem is not None else NullMemory()
+    mem = mem if mem is not None else _NullRecorder()
     app.prepare(graph)
     clique_only = app.clique_only
     frontier: list[tuple[tuple[int, ...], tuple[int, ...]]] = [
@@ -352,13 +374,29 @@ class ProcessingUnit:
 
 
 class _RecordingMemory:
-    """Records a step's requests, each with the compute preceding it."""
+    """Records a step's requests, each with the compute preceding it.
 
-    __slots__ = ("ops", "pre_cycles")
+    ``access`` decodes the engine's access codes over ``graph`` into the
+    oracle's own ``(kind, address, src, pre_cycles)`` ops; an edge's
+    ``src`` is its slot's CSR owner.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("ops", "pre_cycles", "_num_vertices", "_owner")
+
+    def __init__(self, graph: "CSRGraph") -> None:
         self.ops: list[tuple[int, int, int, int]] = []
         self.pre_cycles = 0
+        self._num_vertices = graph.num_vertices
+        self._owner = np.repeat(
+            np.arange(graph.num_vertices), graph.degrees()
+        ).tolist()
+
+    def access(self, code: int) -> None:
+        n = self._num_vertices
+        if code < n:
+            self.vertex(code)
+        else:
+            self.edge(code - n, self._owner[code - n])
 
     def vertex(self, vid: int) -> None:
         self.ops.append((_OP_VERTEX, vid, 0, self.pre_cycles))
@@ -384,7 +422,7 @@ class ReferenceSimulator:
     """Per-event GRAMER cycle model with the engine's constructor contract.
 
     Functional phase: one extension step runs through
-    :func:`~repro.mining.engine.slot_step` with recording callbacks,
+    :func:`~repro.mining.engine.slot_step` with a recording ``access``,
     producing the step's operation list.  Timing phase: the operations
     replay one heap event at a time, in ``(time, push order)`` order, so
     issue-port, partition and DRAM-channel contention resolve exactly.
@@ -424,7 +462,7 @@ class ReferenceSimulator:
         )
         self.partition_free = [0] * cfg.num_partitions
         self.stats = SimStats()
-        self._recorder = _RecordingMemory()
+        self._recorder = _RecordingMemory(self.graph)
         self._emitters = None
         if self.access_trace is not None:
             from repro.obs.hooks import lamh_access_emitters
@@ -447,7 +485,7 @@ class ReferenceSimulator:
         frame = slot.stack[-1]
         candidate, column = slot_step(
             self._offsets, self._neighbors, frame, app.clique_only,
-            cfg.probe_mode == "scan", recorder.vertex, recorder.edge,
+            cfg.probe_mode == "scan", recorder.access,
         )
         if candidate is None:
             slot.stack.pop()

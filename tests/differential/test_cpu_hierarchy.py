@@ -96,12 +96,13 @@ def _pair(layout, config: CPUConfig):
     return fast, oracle, fast_calls, oracle_calls
 
 
-def _apply(memory, op) -> None:
+def _apply(memory, op, num_vertices: int) -> None:
     kind = op[0]
-    if kind == "vertex":
-        memory.vertex(op[1])
-    elif kind == "edge":
-        memory.edge(op[1], 0)
+    if kind in ("vertex", "edge"):
+        memory.access(op[1] if kind == "vertex" else num_vertices + op[1])
+        # The drivers' buffer-bound check point; setting the depth after
+        # every access lets the bound fall anywhere in the stream.
+        memory.depth = 1
     elif kind == "warm":
         memory.warm()
     elif kind == "candidate":
@@ -115,8 +116,8 @@ def _replay(layout, config: CPUConfig, ops) -> None:
             assert astuple(fast.breakdown) == astuple(oracle.breakdown)
             assert fast_calls == oracle_calls
             continue
-        _apply(fast, op)
-        _apply(oracle, op)
+        _apply(fast, op, layout.num_vertices)
+        _apply(oracle, op, layout.num_vertices)
     assert astuple(fast.breakdown) == astuple(oracle.breakdown)
     assert fast_calls == oracle_calls
     assert fast.seconds(0.5) == oracle.seconds(0.5)
@@ -196,7 +197,7 @@ def test_warm_matches_oracle_set_contents(num_slots):
     fast, oracle, _, _ = _pair(layout, config)
     for memory in (fast, oracle):
         for vid in range(0, 100, 7):
-            memory.vertex(vid)
+            memory.access(vid)
         memory.warm()
     for level in ("l1", "l2", "l3"):
         assert getattr(fast, level).sets == _mru_first(getattr(oracle, level))

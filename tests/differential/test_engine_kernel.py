@@ -7,7 +7,9 @@ the CSR arrays and accepts them in one kernel, ``_extend_check``;
 small graphs, for every application shape, both must give the same
 mining result, the same ``candidates_checked`` (also when a frontier
 overflows), the same frontier-observer calls and the same
-``(depth, kind, id, src)`` memory-access stream.  The simulators' step,
+``(depth, kind, id, src)`` memory-access stream: the engine's one-int
+access codes, decoded with ``src`` as the slot's CSR owner, equal the
+oracle's accesses with their source member spelled out.  The simulators' step,
 ``slot_step``, must likewise step whole and work-stealing-split frames
 like the oracle's ``advance_frame`` + ``check_candidate``.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,11 +47,27 @@ PATTERNS = [
 
 
 class RecordingMemory:
-    """A ``MemoryModel`` that logs every access with the depth it saw."""
+    """Logs every access with the depth it saw.
 
-    def __init__(self) -> None:
+    ``access`` is the engine's ``MemoryModel`` side: it decodes a code over
+    ``graph``, taking an edge slot's CSR owner as its ``src``.
+    ``vertex``/``edge`` are the oracle's ``StepRecorder`` side.
+    """
+
+    def __init__(self, graph: CSRGraph) -> None:
         self.depth = 0
         self.events: list[tuple[int, str, int, int | None]] = []
+        self._num_vertices = graph.num_vertices
+        self._owner = np.repeat(
+            np.arange(graph.num_vertices), graph.degrees()
+        ).tolist()
+
+    def access(self, code: int) -> None:
+        n = self._num_vertices
+        if code < n:
+            self.vertex(code)
+        else:
+            self.edge(code - n, self._owner[code - n])
 
     def vertex(self, vid: int) -> None:
         self.events.append((self.depth, "vertex", vid, None))
@@ -91,7 +110,7 @@ def app_factories(draw):
 def _run(driver, graph, make_app, **kwargs) -> dict:
     """Everything a driver run leaves behind, as one comparable value."""
     app = make_app()
-    mem = RecordingMemory()
+    mem = RecordingMemory(graph)
     observed: list[tuple[int, int, int]] = []
     if driver in (engine.run_bfs, oracle.run_bfs):
         kwargs["frontier_observer"] = lambda *call: observed.append(call)
@@ -161,9 +180,7 @@ def test_uncharged_runs_match_charged(graph, make_app):
     """``mem=None`` and ``NullMemory`` make no calls but mine the same."""
     charged = _run(engine.run_dfs, graph, make_app)
     with mock.patch.object(
-        NullMemory, "vertex", side_effect=AssertionError("vertex call")
-    ), mock.patch.object(
-        NullMemory, "edge", side_effect=AssertionError("edge call")
+        NullMemory, "access", side_effect=AssertionError("access call")
     ):
         for driver in (engine.run_dfs, engine.run_bfs):
             for mem in (None, NullMemory()):
@@ -181,7 +198,7 @@ def _step_trace(graph, frame, clique_only, probe, step, first=None):
     ``(candidate, column)``; ``first`` runs on the frame after the first
     candidate, when work stealing could first split it.
     """
-    mem = RecordingMemory()
+    mem = RecordingMemory(graph)
     mem.depth = frame.size
     trace = []
     while True:
@@ -199,7 +216,7 @@ def _step_trace(graph, frame, clique_only, probe, step, first=None):
 def _engine_step(graph, frame, clique_only, probe, mem):
     return engine.slot_step(
         graph.offsets.tolist(), graph.neighbors.tolist(), frame, clique_only,
-        probe == "scan", mem.vertex, mem.edge,
+        probe == "scan", mem.access,
     )
 
 

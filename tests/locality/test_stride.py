@@ -1,42 +1,51 @@
 """Stride-based access classification."""
 
+from repro.graph.generators import cycle, star
 from repro.locality.stride import AccessMix, StrideClassifier
+
+# Access codes: vertex v is v, edge slot i is num_vertices + i.  In
+# cycle(n) vertex v owns slots 2v and 2v + 1; in star(k) the hub 0 owns
+# slots 0 .. k-1.
 
 
 class TestStrideClassifier:
     def test_sequential_edge_run(self):
-        c = StrideClassifier()
+        g = star(20)
+        c = StrideClassifier(g)
         for i in range(5):
-            c.edge(10 + i, src=3)
+            c.access(g.num_vertices + 10 + i)  # the hub's stream
         assert c.mix.sequential_edge == 4
         assert c.mix.random_edge == 1  # the first access of a stream
 
     def test_interleaved_streams_tracked_per_source(self):
-        c = StrideClassifier()
-        c.edge(0, src=1)
-        c.edge(100, src=2)
-        c.edge(1, src=1)  # continues stream 1 despite the interleave
-        c.edge(101, src=2)
+        g = cycle(60)
+        n = g.num_vertices
+        c = StrideClassifier(g)
+        c.access(n + 0)  # vertex 0's slice
+        c.access(n + 100)  # vertex 50's slice
+        c.access(n + 1)  # continues stream 0 despite the interleave
+        c.access(n + 101)
         assert c.mix.sequential_edge == 2
         assert c.mix.random_edge == 2
 
     def test_random_vertex_jumps(self):
-        c = StrideClassifier()
+        c = StrideClassifier(cycle(300))
         for v in (5, 90, 7, 200):
-            c.vertex(v)
+            c.access(v)
         assert c.mix.random_vertex == 4
 
     def test_sequential_vertex_sweep(self):
-        c = StrideClassifier()
+        c = StrideClassifier(cycle(6))
         for v in range(6):
-            c.vertex(v)
+            c.access(v)
         assert c.mix.sequential_vertex == 5
 
     def test_fractions_sum_to_one(self):
-        c = StrideClassifier()
-        c.vertex(0)
-        c.vertex(1)
-        c.edge(0, 0)
+        g = cycle(6)
+        c = StrideClassifier(g)
+        c.access(0)
+        c.access(1)
+        c.access(g.num_vertices)  # edge slot 0
         fractions = c.mix.fractions()
         assert abs(sum(fractions.values()) - 1.0) < 1e-9
 

@@ -10,17 +10,17 @@ from repro.locality.analysis import (
     locality_curve,
     top_access_share,
 )
-from repro.locality.trace import AccessCounter, CallbackMemory, IterationTrace
+from repro.locality.trace import AccessCounter, IterationTrace
 from repro.mining.apps import MotifCounting
 from repro.mining.engine import run_dfs
 
 
 class TestAccessCounter:
     def test_totals(self):
-        mem = AccessCounter()
-        mem.vertex(1)
-        mem.vertex(1)
-        mem.edge(5, 0)
+        mem = AccessCounter(10)  # codes >= 10 are edge slots
+        mem.access(1)
+        mem.access(1)
+        mem.access(10 + 5)
         assert mem.total_vertex_accesses == 2
         assert mem.total_edge_accesses == 1
         assert mem.vertex_counts[1] == 2
@@ -28,28 +28,16 @@ class TestAccessCounter:
 
 class TestIterationTrace:
     def test_buckets_by_depth(self):
-        trace = IterationTrace()
+        trace = IterationTrace(10)  # codes >= 10 are edge slots
         trace.depth = 1
-        trace.vertex(0)
+        trace.access(0)
         trace.depth = 2
-        trace.vertex(0)
-        trace.edge(3, 0)
+        trace.access(0)
+        trace.access(10 + 3)
         assert trace.iterations == [1, 2]
         assert trace.vertex_counts(1)[0] == 1
         assert trace.vertex_counts(2)[0] == 1
         assert trace.edge_counts(2)[3] == 1
-
-
-class TestCallbackMemory:
-    def test_forwards(self):
-        seen = []
-        mem = CallbackMemory(
-            on_vertex=lambda v: seen.append(("v", v)),
-            on_edge=lambda i, s: seen.append(("e", i, s)),
-        )
-        mem.vertex(4)
-        mem.edge(7, 4)
-        assert seen == [("v", 4), ("e", 7, 4)]
 
 
 class TestTopAccessShare:
@@ -75,7 +63,7 @@ class TestLocalityCurve:
     def test_skewed_graph_concentrates_over_iterations(self):
         """Fig. 5's core claim: top-5% share grows with embedding size."""
         g = powerlaw_cluster(400, 3, 0.4, seed=5)
-        trace = IterationTrace()
+        trace = IterationTrace(g.num_vertices)
         run_dfs(g, MotifCounting(4), mem=trace)
         curve = locality_curve(g, trace, fraction=0.05)
         vshare = curve.vertex_share_by_iteration
@@ -93,7 +81,7 @@ class TestLocalityCurve:
 
     def test_uniform_graph_less_concentrated(self):
         def share_at_2(g):
-            trace = IterationTrace()
+            trace = IterationTrace(g.num_vertices)
             run_dfs(g, MotifCounting(3), mem=trace)
             return locality_curve(g, trace).vertex_share_by_iteration[2]
 
@@ -107,7 +95,7 @@ class TestHeuristicAccuracy:
     def test_on1_beats_on0_on_star_of_stars(self):
         """ON1 sees through to neighbours' degrees; ON0 cannot."""
         g = powerlaw_cluster(300, 3, 0.5, seed=6)
-        trace = IterationTrace()
+        trace = IterationTrace(g.num_vertices)
         run_dfs(g, MotifCounting(4), mem=trace)
         acc0 = heuristic_accuracy(g, trace, hops=0)
         acc1 = heuristic_accuracy(g, trace, hops=1)
@@ -118,7 +106,7 @@ class TestHeuristicAccuracy:
 
     def test_accuracy_bounds(self):
         g = star(20)
-        trace = IterationTrace()
+        trace = IterationTrace(g.num_vertices)
         run_dfs(g, MotifCounting(3), mem=trace)
         for value in heuristic_accuracy(g, trace, hops=1).values():
             assert 0.0 <= value <= 1.0
@@ -126,7 +114,7 @@ class TestHeuristicAccuracy:
     def test_high_accuracy_on_skewed(self):
         """Fig. 8a: 1-hop ON accuracy is high (paper: >80%)."""
         g = powerlaw_cluster(400, 3, 0.4, seed=7)
-        trace = IterationTrace()
+        trace = IterationTrace(g.num_vertices)
         run_dfs(g, MotifCounting(4), mem=trace)
         acc = heuristic_accuracy(g, trace, hops=1)
         # Iteration 1 is degenerate: every vertex is touched exactly once

@@ -194,7 +194,7 @@ class TestLAMHBeatsLRUOnSkewedTraffic:
 
         recorded = []
         for start in range(streams):
-            rec = _RecordingAdapter()
+            rec = _RecordingAdapter(g)
             run_dfs(
                 g,
                 MotifCounting(4),
@@ -254,14 +254,23 @@ class TestLAMHBeatsLRUOnSkewedTraffic:
 
 
 class _RecordingAdapter:
-    """MemoryModel that records the engine's access stream."""
+    """MemoryModel that records the engine's access stream, decoded.
 
-    def __init__(self):
+    Vertex codes become ``(0, vid, 0)``; edge codes become
+    ``(1, index, src)`` with ``src`` the slot's CSR owner.
+    """
+
+    def __init__(self, graph):
         self.ops = []
         self.depth = 0
+        self._num_vertices = graph.num_vertices
+        self._owner = np.repeat(
+            np.arange(graph.num_vertices), graph.degrees()
+        ).tolist()
 
-    def vertex(self, vid):
-        self.ops.append((0, vid, 0))
-
-    def edge(self, index, src):
-        self.ops.append((1, index, src))
+    def access(self, code):
+        n = self._num_vertices
+        if code < n:
+            self.ops.append((0, code, 0))
+        else:
+            self.ops.append((1, code - n, self._owner[code - n]))

@@ -126,8 +126,7 @@ class TestExactlyOnceEnumeration:
             frame = Frame(vertices, (0,) * len(vertices))
             while True:
                 u, column = slot_step(
-                    offsets, neighbors, frame, False, False,
-                    mem.vertex, mem.edge,
+                    offsets, neighbors, frame, False, False, mem.access,
                 )
                 if u is None:
                     return

@@ -29,8 +29,7 @@ def steps(graph, frame, probe="binary"):
     produced = []
     while True:
         candidate, column = slot_step(
-            offsets, neighbors, frame, False, probe == "scan",
-            mem.vertex, mem.edge,
+            offsets, neighbors, frame, False, probe == "scan", mem.access,
         )
         if candidate is None:
             return produced
@@ -115,7 +114,8 @@ class TestDFSEqualsBFS:
 
     def test_access_totals_match(self, er_graph):
         """The two execution orders touch the same multiset of addresses."""
-        mem_a, mem_b = AccessCounter(), AccessCounter()
+        n = er_graph.num_vertices
+        mem_a, mem_b = AccessCounter(n), AccessCounter(n)
         run_dfs(er_graph, MotifCounting(3), mem=mem_a)
         run_bfs(er_graph, MotifCounting(3), mem=mem_b)
         assert mem_a.vertex_counts == mem_b.vertex_counts
@@ -144,20 +144,20 @@ class TestFrontierOverflow:
 
 class TestMemoryEvents:
     def test_iteration_attribution(self):
-        trace = IterationTrace()
+        trace = IterationTrace(6)
         run_dfs(cycle(6), MotifCounting(3), mem=trace)
         # Iteration 1 extends 1-vertex embeddings, iteration 2 extends pairs.
         assert set(trace.iterations) == {1, 2}
 
     def test_vertex_access_includes_members_and_candidates(self):
-        mem = AccessCounter()
+        mem = AccessCounter(3)
         run_dfs(path(3), MotifCounting(3), mem=mem)
         assert mem.total_vertex_accesses > 0
         assert mem.total_edge_accesses > 0
 
     def test_edge_accesses_cover_all_slots(self):
         g = cycle(5)
-        mem = AccessCounter()
+        mem = AccessCounter(g.num_vertices)
         run_dfs(g, MotifCounting(3), mem=mem)
         # Every adjacency slot is streamed at least once (for the roots).
         assert set(mem.edge_counts) == set(range(len(g.neighbors)))
@@ -221,7 +221,7 @@ class TestFrame:
         mem = NullMemory()
         slot_step(
             g.offsets.tolist(), g.neighbors.tolist(), frame, False, False,
-            mem.vertex, mem.edge,
+            mem.access,
         )  # loads member, cursor=1
         frame.cursor_limit = 3
         assert candidates(g, frame) == [2, 3]  # cursor 1 and 2 only

@@ -143,7 +143,7 @@ class TestEngine:
     def test_memory_charged(self):
         from repro.locality.trace import AccessCounter
 
-        mem = AccessCounter()
+        mem = AccessCounter(6)
         run_vertex_program(cycle(6), BreadthFirstSearch(0), mem=mem)
         assert mem.total_vertex_accesses > 0
         assert mem.total_edge_accesses > 0
