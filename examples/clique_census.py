@@ -6,7 +6,7 @@ modeled runtimes and energies side by side (a miniature Table III cell).
 
 Run with::
 
-    python examples/clique_census.py [--engine fast|reference] [--tiny]
+    python examples/clique_census.py [--tiny]
 """
 
 import argparse
@@ -17,7 +17,7 @@ from repro.graph import powerlaw_cluster
 from repro.mining import CliqueFinding
 
 
-def main(engine: str = "fast", tiny: bool = False) -> None:
+def main(tiny: bool = False) -> None:
     graph = powerlaw_cluster(
         num_vertices=400 if tiny else 1_500, edges_per_vertex=4,
         triad_probability=0.6, seed=7, max_degree=45,
@@ -29,7 +29,7 @@ def main(engine: str = "fast", tiny: bool = False) -> None:
     print(f"{'k':>2s}  {'cliques':>10s}  {'GRAMER':>10s}  {'Fractal':>10s}  "
           f"{'RStream':>10s}  {'speedup':>14s}  {'energy save':>11s}")
     for k in (3, 4, 5):
-        sim = make_simulator(graph, config, engine=engine).run(CliqueFinding(k))
+        sim = make_simulator(graph, config).run(CliqueFinding(k))
         fractal = FractalModel().run(graph, CliqueFinding(k))
         rstream = RStreamModel().run(graph, CliqueFinding(k))
 
@@ -56,9 +56,6 @@ def main(engine: str = "fast", tiny: bool = False) -> None:
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--engine", default="fast",
-                        choices=["fast", "reference"])
     parser.add_argument("--tiny", action="store_true",
                         help="shrink the graph (used by the smoke tests)")
-    cli = parser.parse_args()
-    main(engine=cli.engine, tiny=cli.tiny)
+    main(tiny=parser.parse_args().tiny)

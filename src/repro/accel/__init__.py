@@ -16,8 +16,6 @@ from .resources import (
     estimate_resources,
 )
 from .sim import (
-    DEFAULT_ENGINE,
-    ENGINES,
     AncestorBufferOverflowError,
     GramerSimulator,
     SimResult,
@@ -44,8 +42,6 @@ __all__ = [
     "AncestorBufferOverflowError",
     "GramerSimulator",
     "make_simulator",
-    "ENGINES",
-    "DEFAULT_ENGINE",
     "SimResult",
     "SimStats",
 ]

@@ -31,11 +31,7 @@ import argparse
 import time
 
 from repro.accel.energy import gramer_energy
-from repro.accel.sim import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    make_simulator,
-)
+from repro.accel.sim import make_simulator
 from repro.graph.stats import degree_stats
 from repro.mining.apps import make_app
 from repro.mining.engine import run_dfs
@@ -105,9 +101,7 @@ def _cmd_simulate(args) -> None:
         instrument = SimInstrument(window_cycles=args.trace_window)
     print(degree_stats(graph).describe())
     start = time.perf_counter()
-    result = make_simulator(
-        graph, config, engine=args.engine, instrument=instrument
-    ).run(app)
+    result = make_simulator(graph, config, instrument=instrument).run(app)
     stats = result.stats
     print(
         f"simulated in {time.perf_counter() - start:.2f}s host time\n"
@@ -171,21 +165,8 @@ def _sweep_specs(args) -> list:
             raise SystemExit(
                 f"unknown dataset {name!r}; see `gramer datasets`"
             )
-    # Engine selection only applies to the simulator backend.  The default
-    # engine stays out of the spec so artifact-cache keys are unchanged;
-    # a non-default engine name rides in params and therefore gets its
-    # own cache key.
-    gramer_params = (
-        {"engine": args.engine} if args.engine != DEFAULT_ENGINE else None
-    )
     return [
-        cell_jobspec(
-            backend,
-            app,
-            graph,
-            args.scale,
-            params=gramer_params if backend == "gramer" else None,
-        )
+        cell_jobspec(backend, app, graph, args.scale)
         for app in args.apps
         for graph in graphs
         for backend in backends
@@ -842,10 +823,6 @@ def main(argv: list[str] | None = None) -> None:
                           help="write a Chrome-trace of the run to PATH")
     simulate.add_argument("--trace-window", type=int, default=1024,
                           help="timeline window width in cycles")
-    simulate.add_argument("--engine", default=DEFAULT_ENGINE,
-                          choices=list(ENGINES),
-                          help="simulation engine (fast and reference "
-                               "both name the exact engine)")
     simulate.set_defaults(func=_cmd_simulate)
 
     experiment = sub.add_parser("experiment",
@@ -897,11 +874,6 @@ def main(argv: list[str] | None = None) -> None:
                             "locality table (docs/access-patterns.md)")
     sweep.add_argument("--trace", default=None, metavar="PATH",
                        help="write a Chrome-trace of job lifecycle to PATH")
-    sweep.add_argument("--engine", default=DEFAULT_ENGINE,
-                       choices=list(ENGINES),
-                       help="simulation engine for gramer cells (fast and "
-                            "reference both name the exact engine; "
-                            "reference gets its own cache key)")
     sweep.add_argument("--lease", type=float, default=30.0, metavar="S",
                        help="claim lease TTL in seconds for the sweep "
                             "workers (claims live at <ledger>.claims); an "
@@ -926,9 +898,6 @@ def main(argv: list[str] | None = None) -> None:
                          help="backends (default: gramer fractal rstream)")
     workerp.add_argument("--scale", default="small",
                          choices=["tiny", "small", "full"])
-    workerp.add_argument("--engine", default=DEFAULT_ENGINE,
-                         choices=list(ENGINES),
-                         help="simulation engine for gramer cells")
     workerp.add_argument("--ledger", required=True, metavar="PATH",
                          help="the sweep's shared JSONL journal")
     workerp.add_argument("--claims", required=True, metavar="DIR",
@@ -959,8 +928,6 @@ def main(argv: list[str] | None = None) -> None:
                           help="backends (default: gramer fractal rstream)")
     m_common.add_argument("--scale", default="small",
                           choices=["tiny", "small", "full"])
-    m_common.add_argument("--engine", default=DEFAULT_ENGINE,
-                          choices=list(ENGINES))
 
     m_seal = manifest_sub.add_parser(
         "seal", parents=[m_common],

@@ -11,7 +11,7 @@ assembles a :class:`~repro.runtime.spec.JobSpec`, routes it through
 converts the :class:`~repro.runtime.spec.JobResult` back into the legacy
 :class:`CellResult` shape the figure/table modules consume.  The cell
 semantics (fixed overheads, energy accounting) live in
-:mod:`repro.runtime.backends` and are re-exported here unchanged.
+:mod:`repro.runtime.backends`.
 """
 
 from __future__ import annotations
@@ -19,21 +19,12 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:
-    from repro.obs.hooks import SimInstrument
-    from repro.runtime.retry import RetryPolicy
+from typing import Sequence
 
 from repro.accel.config import GramerConfig
 from repro.accel.energy import EnergyParams
 from repro.baselines.cpu import CPUConfig
-from repro.runtime.backends import (  # noqa: F401  (re-exported legacy API)
-    SCALE_OVERHEADS,
-    SystemOverheads,
-    build_app,
-    experiment_config,
-)
+from repro.runtime.backends import build_app, experiment_config
 from repro.runtime.executor import run_spec
 from repro.runtime.spec import JobResult, JobSpec, json_safe_keys, make_jobspec
 
@@ -108,22 +99,9 @@ def cell_from_result(result: JobResult) -> CellResult:
     )
 
 
-def run_cell(
-    spec: JobSpec,
-    use_cache: bool = True,
-    instrument: "SimInstrument | None" = None,
-    retry: "RetryPolicy | None" = None,
-) -> CellResult:
-    """Execute one cell spec through the backend registry.
-
-    ``instrument`` attaches observability hooks (and bypasses the cache
-    so the simulator actually runs); see :mod:`repro.obs`.  ``retry``
-    overrides the runtime's default transient-failure policy
-    (:data:`repro.runtime.retry.DEFAULT_RETRY`); see docs/resilience.md.
-    """
-    result = run_spec(
-        spec, use_cache=use_cache, instrument=instrument, retry=retry
-    )
+def run_cell(spec: JobSpec) -> CellResult:
+    """Execute one cell spec through the backend registry and its cache."""
+    result = run_spec(spec)
     if not result.ok:
         raise RuntimeError(f"cell {spec.label()} failed: {result.error}")
     return cell_from_result(result)
@@ -135,16 +113,8 @@ def run_gramer_cell(
     scale: str = "small",
     config: GramerConfig | None = None,
     energy_params: EnergyParams | None = None,
-    engine: str | None = None,
 ) -> CellResult:
-    """Simulate GRAMER for one Table III cell.
-
-    ``engine`` names the simulation engine (``"fast"``/``"reference"``);
-    ``None`` keeps it out of the job spec so cache keys stay stable and
-    the backend applies its default.  Both names build the exact engine,
-    so choosing between them never affects the cell's numbers; a named
-    engine only gives the cell its own cache key.
-    """
+    """Simulate GRAMER for one Table III cell."""
     params = {
         f"energy_{k}": v
         for k, v in _config_overrides(energy_params, EnergyParams()).items()
@@ -152,8 +122,6 @@ def run_gramer_cell(
     # energy_params with all-default fields must still reach the backend.
     if energy_params is not None and not params:
         params = {"energy_static_w": EnergyParams().static_w}
-    if engine is not None:
-        params["engine"] = engine
     spec = cell_jobspec(
         "gramer",
         app_name,

@@ -32,12 +32,7 @@ import numpy as np
 
 from repro.accel.config import GramerConfig
 from repro.accel.energy import EnergyParams, cpu_energy, gramer_energy
-from repro.accel.sim import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    SimResult,
-    make_simulator,
-)
+from repro.accel.sim import SimResult, make_simulator
 from repro.baselines.cpu import CPUConfig
 from repro.baselines.fractal import BaselineResult, FractalModel
 from repro.baselines.rstream import RStreamModel
@@ -156,16 +151,13 @@ def graph_digest_for(spec: JobSpec) -> str:
     return resolve_graph(spec, app.needs_labels).content_digest()
 
 
-def _graph_signature(graph: CSRGraph) -> str:
-    # The store digest *is* the old array hash (SHA-256 over
-    # offsets/neighbors/labels bytes), memoized on the graph — existing
-    # on-disk ON1-rank entries stay addressable, with zero re-hashing.
-    return graph.content_digest()
-
-
 def cached_vertex_rank(graph: CSRGraph) -> np.ndarray:
-    """ON1 rank permutation, content-addressed by the graph digest."""
-    key = {"graph": _graph_signature(graph), "hops": 1}
+    """ON1 rank permutation, content-addressed by the graph digest.
+
+    The digest is memoized on the graph (store-backed graphs read it from
+    their artifact header), so a lookup never re-hashes the arrays.
+    """
+    key = {"graph": graph.content_digest(), "hops": 1}
     return default_cache().get_or_create(
         "on1_rank",
         key,
@@ -184,11 +176,23 @@ def _overheads(scale: str) -> SystemOverheads:
 
 @runtime_checkable
 class Backend(Protocol):
-    """One way of executing a mining job."""
+    """One way of executing a mining job.
+
+    ``instrument`` (simulator hooks) and ``access_trace`` (the
+    memory-access channel) are observers: a backend that supports one
+    feeds it, one that does not ignores it, and either way the returned
+    ``JobResult`` is identical (bar wall time) to an unobserved run.
+    """
 
     name: str
 
-    def run(self, spec: JobSpec) -> JobResult:  # pragma: no cover - protocol
+    def run(
+        self,
+        spec: JobSpec,
+        *,
+        instrument: "SimInstrument | None" = None,
+        access_trace: "AccessTrace | None" = None,
+    ) -> JobResult:  # pragma: no cover - protocol
         ...
 
 
@@ -198,47 +202,15 @@ class GramerBackend:
     name = "gramer"
     system = "GRAMER"
 
-    def run(self, spec: JobSpec) -> JobResult:
-        return self._execute(spec, None)
-
-    def run_instrumented(
-        self, spec: JobSpec, instrument: "SimInstrument"
-    ) -> JobResult:
-        """Run with observability hooks attached to the simulator.
-
-        Hooks are purely observational, so the returned ``JobResult`` is
-        identical (bar wall time) to an uninstrumented run — asserted by
-        the zero-perturbation tests.
-        """
-        return self._execute(spec, instrument)
-
-    def run_traced(
-        self, spec: JobSpec, access_trace: "AccessTrace"
-    ) -> JobResult:
-        """Run with the memory-access event channel attached.
-
-        Same zero-perturbation contract as ``run_instrumented``: the
-        trace only accumulates events, so the ``JobResult`` is identical
-        (bar wall time) to an untraced run.
-        """
-        return self._execute(spec, None, access_trace)
-
-    def _execute(
+    def run(
         self,
         spec: JobSpec,
-        instrument: "SimInstrument | None",
+        *,
+        instrument: "SimInstrument | None" = None,
         access_trace: "AccessTrace | None" = None,
     ) -> JobResult:
+        """Simulate the cell; hooks and the access trace only observe."""
         params = spec.params_dict()
-        engine = str(params.get("engine", DEFAULT_ENGINE))
-        if engine not in ENGINES:
-            # Validate before any graph loading/app construction: a typo'd
-            # engine used to surface as a late factory error after the
-            # (possibly expensive) dataset was already resolved.
-            raise ValueError(
-                f"unknown engine {engine!r} for backend {self.name!r}; "
-                f"expected one of {ENGINES}"
-            )
         app = _make_app_for(spec)
         graph = resolve_graph(spec, app.needs_labels)
         cfg = experiment_config(**spec.config_dict())
@@ -255,11 +227,9 @@ class GramerBackend:
             vertex_rank = None
 
         start = time.perf_counter()
-        # Engine selection rides in params (and so in the cache key).
         result: SimResult = make_simulator(
             graph,
             cfg,
-            engine=engine,
             vertex_rank=vertex_rank,
             use_on1_ranks=params.get("use_on1_ranks", True),
             instrument=instrument,
@@ -310,7 +280,7 @@ def _baseline_result(
     spec: JobSpec,
     system: str,
     model: FractalModel | RStreamModel,
-    access_trace: "AccessTrace | None" = None,
+    access_trace: "AccessTrace | None",
 ) -> JobResult:
     app = _make_app_for(spec)
     graph = resolve_graph(spec, app.needs_labels)
@@ -349,15 +319,16 @@ class FractalBackend:
             ),
         )
 
-    def run(self, spec: JobSpec) -> JobResult:
-        return _baseline_result(spec, self.system, self._model(spec))
-
-    def run_traced(
-        self, spec: JobSpec, access_trace: "AccessTrace"
+    def run(
+        self,
+        spec: JobSpec,
+        *,
+        instrument: "SimInstrument | None" = None,
+        access_trace: "AccessTrace | None" = None,
     ) -> JobResult:
-        """Run with the post-L2 miss stream routed into ``access_trace``."""
+        """Run the model; ``access_trace`` gets the post-L2 miss stream."""
         return _baseline_result(
-            spec, self.system, self._model(spec), access_trace=access_trace
+            spec, self.system, self._model(spec), access_trace
         )
 
 
@@ -377,15 +348,16 @@ class RStreamBackend:
             max_frontier=int(params.get("max_frontier", 2_000_000)),
         )
 
-    def run(self, spec: JobSpec) -> JobResult:
-        return _baseline_result(spec, self.system, self._model(spec))
-
-    def run_traced(
-        self, spec: JobSpec, access_trace: "AccessTrace"
+    def run(
+        self,
+        spec: JobSpec,
+        *,
+        instrument: "SimInstrument | None" = None,
+        access_trace: "AccessTrace | None" = None,
     ) -> JobResult:
-        """Run with miss + embedding-spill streams routed into the trace."""
+        """Run the model; ``access_trace`` gets the miss and spill streams."""
         return _baseline_result(
-            spec, self.system, self._model(spec), access_trace=access_trace
+            spec, self.system, self._model(spec), access_trace
         )
 
 
@@ -400,7 +372,14 @@ class SoftwareBackend:
     name = "software"
     system = "Software"
 
-    def run(self, spec: JobSpec) -> JobResult:
+    def run(
+        self,
+        spec: JobSpec,
+        *,
+        instrument: "SimInstrument | None" = None,
+        access_trace: "AccessTrace | None" = None,
+    ) -> JobResult:
+        """Mine the cell; with no hooked path, both observers stay empty."""
         app = _make_app_for(spec)
         graph = resolve_graph(spec, app.needs_labels)
         start = time.perf_counter()

@@ -114,13 +114,11 @@ def run_spec(
     worker takes over a cell whose earlier attempts died with their
     worker process.
 
-    With ``instrument`` the cache is bypassed entirely — a trace only
-    exists if the simulator actually runs — and backends exposing
-    ``run_instrumented`` receive the hooks (others run normally).
-    ``access_trace`` follows the same contract through backends'
-    ``run_traced``; a backend without one runs normally and the trace
-    stays empty.  The two channels buffer different event shapes and
-    cannot be combined in one run.
+    With ``instrument`` or ``access_trace`` the cache is bypassed
+    entirely — a trace only exists if the simulator actually runs — and
+    both are handed to the backend's ``run``; a backend with no hooked
+    path runs normally and leaves them empty.  The two channels buffer
+    different event shapes and cannot be combined in one run.
     """
     if instrument is not None and access_trace is not None:
         raise ValueError("instrument and access_trace cannot be combined")
@@ -142,23 +140,9 @@ def run_spec(
         start = time.perf_counter()
         try:
             apply_pre_run_faults(plan, label, attempt)
-            backend = get_backend(spec.backend)
-            instrumented_run = (
-                getattr(backend, "run_instrumented", None)
-                if instrument is not None
-                else None
+            result = get_backend(spec.backend).run(
+                spec, instrument=instrument, access_trace=access_trace
             )
-            traced_run = (
-                getattr(backend, "run_traced", None)
-                if access_trace is not None
-                else None
-            )
-            if instrumented_run is not None:
-                result = instrumented_run(spec, instrument)
-            elif traced_run is not None:
-                result = traced_run(spec, access_trace)
-            else:
-                result = backend.run(spec)
         except Exception as exc:  # noqa: BLE001 - failure isolation by design
             wall = time.perf_counter() - start
             if policy.should_retry(exc, attempt):

@@ -201,7 +201,7 @@ class _InterruptingBackend:
     name = "chaos-interrupt"
     system = "chaos"
 
-    def run(self, spec) -> JobResult:
+    def run(self, spec, *, instrument=None, access_trace=None) -> JobResult:
         raise KeyboardInterrupt
 
 

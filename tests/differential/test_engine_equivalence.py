@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accel.config import GramerConfig
-from repro.accel.sim import DEFAULT_ENGINE, make_simulator
+from repro.accel.sim import make_simulator
 from repro.experiments import datasets
 from repro.experiments.paper_data import TABLE3_APPS
 from repro.graph import erdos_renyi, powerlaw_cluster, random_labels
@@ -35,15 +35,16 @@ from .engine_oracle import ReferenceSimulator
 
 APPS = ["3-CF", "4-CF", "3-MC", "4-MC", "FSM-2"]
 
-#: The engine name these suites give the per-event oracle.
+#: The names these suites give the exact engine and the per-event oracle.
+ENGINE = "engine"
 ORACLE = "oracle"
 
 
 def build_simulator(graph, config, engine, **kwargs):
-    """``make_simulator(..., engine=engine)``, or the oracle for ``ORACLE``."""
+    """``make_simulator(...)``, or the oracle for ``ORACLE``."""
     if engine == ORACLE:
         return ReferenceSimulator(graph, config, **kwargs)
-    return make_simulator(graph, config, engine=engine, **kwargs)
+    return make_simulator(graph, config, **kwargs)
 
 
 def _snapshot(graph, config, app_name, engine, vertex_rank=None):
@@ -72,7 +73,7 @@ def _snapshot(graph, config, app_name, engine, vertex_rank=None):
 def assert_engines_agree(graph, config, app_name, vertex_rank=None):
     engine, oracle = (
         _snapshot(graph, config, app_name, name, vertex_rank)
-        for name in (DEFAULT_ENGINE, ORACLE)
+        for name in (ENGINE, ORACLE)
     )
     if engine != oracle:
         for key in oracle:
@@ -160,7 +161,7 @@ def _grid_cell(app_name, graph_name):
     graph = loader(graph_name, scale)
     config = GramerConfig()
     results = {}
-    for engine in (DEFAULT_ENGINE, ORACLE):
+    for engine in (ENGINE, ORACLE):
         cell_app = build_app(app_name, graph_name, scale)
         result = build_simulator(graph, config, engine).run(cell_app)
         results[engine] = (
@@ -169,7 +170,7 @@ def _grid_cell(app_name, graph_name):
             result.mining.patterns_by_size,
             cell_app.candidates_checked,
         )
-    assert results[DEFAULT_ENGINE] == results[ORACLE], (app_name, graph_name)
+    assert results[ENGINE] == results[ORACLE], (app_name, graph_name)
 
 
 @pytest.mark.parametrize(

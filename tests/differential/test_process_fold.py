@@ -115,10 +115,8 @@ def _mine(run, make_app, peek_every: int = 0):
     return app.result()
 
 
-def _simulate(graph, engine_name):
-    return lambda app: make_simulator(
-        graph, GramerConfig(), engine=engine_name
-    ).run(app)
+def _simulate(graph):
+    return lambda app: make_simulator(graph, GramerConfig()).run(app)
 
 
 @given(graphs(), app_factories())
@@ -142,10 +140,10 @@ def test_frontier_overflow_fold_matches_oracle(graph, make_app, max_frontier):
     )
 
 
-@given(graphs(), app_factories(), st.sampled_from(["fast", "reference"]))
+@given(graphs(), app_factories())
 @SETTINGS
-def test_simulator_fold_matches_oracle(graph, make_app, engine_name):
-    _mine(_simulate(graph, engine_name), make_app)
+def test_simulator_fold_matches_oracle(graph, make_app):
+    _mine(_simulate(graph), make_app)
 
 
 @given(graphs(), app_factories(), st.sampled_from(["dfs", "bfs", "fast"]))
@@ -154,7 +152,7 @@ def test_mid_run_reads_do_not_change_the_result(graph, make_app, driver):
     run = {
         "dfs": lambda app: engine.run_dfs(graph, app),
         "bfs": lambda app: engine.run_bfs(graph, app),
-        "fast": _simulate(graph, "fast"),
+        "fast": _simulate(graph),
     }[driver]
     # ``_mine`` checks each run against the oracle, dict order included.
     assert _mine(run, make_app, peek_every=7) == _mine(run, make_app)

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.accel import sim
 from repro.accel.config import GramerConfig
-from repro.accel.sim import DEFAULT_ENGINE
 from repro.experiments import datasets
 from repro.graph import erdos_renyi, powerlaw_cluster, random_labels
 from repro.mining import make_app
@@ -31,6 +30,7 @@ from repro.runtime.backends import build_app
 
 from .test_engine_equivalence import (
     APPS,
+    ENGINE,
     ORACLE,
     build_simulator,
     configs,
@@ -73,7 +73,7 @@ def _hooked_snapshot(graph, config, make_run_app, engine, window):
 def assert_traces_agree(graph, config, make_run_app, window):
     engine, oracle = (
         _hooked_snapshot(graph, config, make_run_app, name, window)
-        for name in (DEFAULT_ENGINE, ORACLE)
+        for name in (ENGINE, ORACLE)
     )
     for key in oracle:
         assert engine[key] == oracle[key], f"hooked runs diverge on {key!r}"

@@ -76,7 +76,7 @@ class TestCells:
         assert cell.detail["cycles"] > 0
 
     def test_fractal_cell(self):
-        from repro.experiments.harness import SCALE_OVERHEADS
+        from repro.runtime.backends import SCALE_OVERHEADS
 
         cell = run_fractal_cell("3-CF", "citeseer", "tiny")
         assert cell.system == "Fractal"

@@ -235,13 +235,13 @@ class TestSignatureMemoization:
         assert counter.calls == 1
 
     def test_graph_signature_uses_the_memo(self, monkeypatch):
-        from repro.runtime.backends import _graph_signature
+        from repro.runtime.backends import cached_vertex_rank
 
         graph = powerlaw_cluster(40, 2, 0.2, seed=12)
         counter = _CountingHashlib()
         monkeypatch.setattr(csr_mod, "hashlib", counter)
-        first = _graph_signature(graph)
-        assert _graph_signature(graph) == first
+        first = cached_vertex_rank(graph)
+        assert list(cached_vertex_rank(graph)) == list(first)
         assert counter.calls == 1
 
     def test_store_opened_graph_never_hashes(self, tmp_path, monkeypatch):

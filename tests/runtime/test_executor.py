@@ -198,6 +198,16 @@ class TestBackendResults:
         assert result.detail["candidates_checked"] > 0
         assert result.wall_seconds > 0
 
+    def test_software_backend_leaves_an_access_trace_empty(self):
+        from repro.obs import AccessTrace
+
+        spec = make_jobspec("software", "3-CF", dataset="citeseer", scale="tiny")
+        plain = run_spec(spec, use_cache=False)
+        trace = AccessTrace()
+        traced = run_spec(spec, use_cache=False, access_trace=trace)
+        assert traced.ok and len(trace) == 0
+        assert traced.detail == plain.detail
+
     def test_edge_list_jobs_run_from_files(self, tmp_path):
         target = tmp_path / "triangle.txt"
         target.write_text("0 1\n1 2\n0 2\n")
