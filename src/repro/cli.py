@@ -32,6 +32,7 @@ import time
 
 from repro.accel.energy import gramer_energy
 from repro.accel.sim import make_simulator
+from repro.experiments import EXPERIMENTS
 from repro.graph.stats import degree_stats
 from repro.mining.apps import make_app
 from repro.mining.engine import run_dfs
@@ -830,7 +831,8 @@ def main(argv: list[str] | None = None) -> None:
     experiment.add_argument("--scale", default="small",
                             choices=["tiny", "small", "full"])
     experiment.add_argument("--out", default="results")
-    experiment.add_argument("--only", nargs="*", default=None)
+    experiment.add_argument("--only", nargs="*", default=None,
+                            choices=EXPERIMENTS)
     experiment.add_argument("--jobs", type=int, default=None,
                             help="sweep workers for the cell grid "
                                  "(default: $GRAMER_JOBS or 1)")

@@ -25,10 +25,12 @@ from . import datasets
 from .harness import build_app, experiment_config, format_table
 
 __all__ = [
+    "run",
     "run_steal_selector",
     "run_rank_source",
     "run_arbitrator_policy",
     "run_partition_sweep",
+    "render",
     "main",
 ]
 
@@ -169,9 +171,18 @@ def run_partition_sweep(
     return rows
 
 
-def main(scale: str = "small") -> str:
-    """Render all ablations as text."""
-    steal = run_steal_selector(scale)
+def run(scale: str = "small") -> dict[str, list[dict]]:
+    """All four ablations, keyed as ``results.json`` stores them."""
+    return {
+        "steal_selector": run_steal_selector(scale),
+        "rank_source": run_rank_source(scale),
+        "arbitrator": run_arbitrator_policy(scale),
+        "partitions": run_partition_sweep(scale),
+    }
+
+
+def render(data: dict[str, list[dict]]) -> str:
+    """Format :func:`run`'s result as the four ablation tables."""
     steal_table = format_table(
         ["Graph", "Buffer cycles", "LFSR cycles", "Buffer speedup",
          "Steals (buf/rand)"],
@@ -181,10 +192,9 @@ def main(scale: str = "small") -> str:
                 f"{r['buffer_speedup']:.2f}x",
                 f"{r['steals_buffer']}/{r['steals_random']}",
             ]
-            for r in steal
+            for r in data["steal_selector"]
         ],
     )
-    ranks = run_rank_source(scale)
     rank_table = format_table(
         ["Graph", "ON1 cycles", "Identity cycles", "ON1 speedup",
          "Vertex hit (ON1/identity)"],
@@ -194,10 +204,9 @@ def main(scale: str = "small") -> str:
                 f"{r['on1_speedup']:.2f}x",
                 f"{r['on1_vertex_hit']:.3f}/{r['identity_vertex_hit']:.3f}",
             ]
-            for r in ranks
+            for r in data["rank_source"]
         ],
     )
-    arb = run_arbitrator_policy(scale)
     arb_table = format_table(
         ["Graph", "Round-robin", "Degree-balanced", "Balanced speedup",
          "Imbalance (rr/db)"],
@@ -209,15 +218,14 @@ def main(scale: str = "small") -> str:
                 f"{r['balanced_speedup']:.2f}x",
                 f"{r['imbalance_rr']:.2f}/{r['imbalance_db']:.2f}",
             ]
-            for r in arb
+            for r in data["arbitrator"]
         ],
     )
-    parts = run_partition_sweep(scale)
     part_table = format_table(
         ["Partitions", "Cycles", "Speedup vs 1"],
         [
             [str(r["partitions"]), str(r["cycles"]), f"{r['speedup_vs_1']:.2f}x"]
-            for r in parts
+            for r in data["partitions"]
         ],
     )
     return (
@@ -230,6 +238,11 @@ def main(scale: str = "small") -> str:
         + "\n\nAblation — memory partition count (mico, 5-CF)\n"
         + part_table
     )
+
+
+def main(scale: str = "small") -> str:
+    """Run and render all four ablations."""
+    return render(run(scale))
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from . import datasets
 from .harness import build_app, experiment_config, format_table
 from .datasets import DATASET_ORDER
 
-__all__ = ["run", "main"]
+__all__ = ["run", "render", "main"]
 
 
 def run(
@@ -45,9 +45,8 @@ def run(
     return rows
 
 
-def main(scale: str = "small") -> str:
-    """Render the comparison."""
-    rows = run(scale)
+def render(rows: list[dict]) -> str:
+    """Format :func:`run`'s rows as the DFS-vs-BFS comparison."""
     table = format_table(
         ["Graph", "DFS cycles", "BFS cycles", "BFS slowdown",
          "Intermediates", "Peak level"],
@@ -67,6 +66,11 @@ def main(scale: str = "small") -> str:
         "§V-A quantified — DFS vs (optimistic) BFS execution mode "
         "(4-MC)\n" + table
     )
+
+
+def main(scale: str = "small") -> str:
+    """Run and render the DFS-vs-BFS comparison."""
+    return render(run(scale))
 
 
 if __name__ == "__main__":

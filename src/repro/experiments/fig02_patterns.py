@@ -21,7 +21,7 @@ from repro.processing import (
 from . import datasets
 from .harness import build_app, format_table
 
-__all__ = ["run", "main"]
+__all__ = ["run", "render", "main"]
 
 
 def run(scale: str = "small", graph_name: str = "p2p") -> list[dict]:
@@ -63,9 +63,8 @@ def run(scale: str = "small", graph_name: str = "p2p") -> list[dict]:
     return rows
 
 
-def main(scale: str = "small") -> str:
-    """Render the access-mix comparison."""
-    rows = run(scale)
+def render(rows: list[dict]) -> str:
+    """Format :func:`run`'s rows as the access-mix comparison."""
     table = format_table(
         ["Workload", "Class", "Rand vertex", "Rand edge",
          "Rand-vertex share", "Rand-edge share"],
@@ -85,6 +84,11 @@ def main(scale: str = "small") -> str:
         "Fig. 2 (quantified) — random-access composition, "
         "processing vs mining\n" + table
     )
+
+
+def main(scale: str = "small") -> str:
+    """Run and render the access-mix comparison."""
+    return render(run(scale))
 
 
 if __name__ == "__main__":

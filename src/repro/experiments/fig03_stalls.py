@@ -18,7 +18,7 @@ from repro.mining.engine import run_dfs
 from . import datasets
 from .harness import build_app, format_table
 
-__all__ = ["run", "main", "FIG3_GRAPHS", "FIG3_APPS"]
+__all__ = ["run", "render", "main", "FIG3_GRAPHS", "FIG3_APPS"]
 
 FIG3_GRAPHS = ["citeseer", "p2p", "astro", "mico", "patents"]
 FIG3_APPS = ["3-CF", "FSM", "3-MC"]
@@ -60,9 +60,8 @@ def run(scale: str = "small") -> list[dict]:
     return rows
 
 
-def main(scale: str = "small") -> str:
-    """Render the Fig. 3 breakdown as text."""
-    rows = run(scale)
+def render(rows: list[dict]) -> str:
+    """Format :func:`run`'s rows as the Fig. 3 breakdown."""
     table = format_table(
         ["Graph", "App", "Vertex Access", "Edge Access", "Others"],
         [
@@ -77,6 +76,11 @@ def main(scale: str = "small") -> str:
         ],
     )
     return "Fig. 3 — pipeline stall breakdown (CPU model)\n" + table
+
+
+def main(scale: str = "small") -> str:
+    """Run and render the Fig. 3 breakdown."""
+    return render(run(scale))
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from repro.mining.engine import run_dfs
 from . import datasets
 from .harness import format_table
 
-__all__ = ["run", "main", "FIG5_GRAPHS"]
+__all__ = ["run", "render", "main", "FIG5_GRAPHS"]
 
 FIG5_GRAPHS = ["citeseer", "p2p", "astro", "mico"]
 
@@ -41,9 +41,8 @@ def run(scale: str = "small", max_size: int = 4, fraction: float = 0.05) -> list
     return rows
 
 
-def main(scale: str = "small") -> str:
-    """Render both panels of Fig. 5 as text."""
-    rows = run(scale)
+def render(rows: list[dict]) -> str:
+    """Format :func:`run`'s rows as both panels of Fig. 5."""
     iterations = sorted(rows[0]["vertex_share"])
     lines = []
     for key, title in (
@@ -60,6 +59,11 @@ def main(scale: str = "small") -> str:
         )
         lines.append(f"Fig. 5 {title}\n{table}")
     return "\n\n".join(lines)
+
+
+def main(scale: str = "small") -> str:
+    """Run and render both panels of Fig. 5."""
+    return render(run(scale))
 
 
 if __name__ == "__main__":

@@ -20,12 +20,12 @@ from repro.mining.engine import run_dfs
 from . import datasets
 from .harness import format_table
 
-__all__ = ["run", "main"]
+__all__ = ["run", "render", "main"]
 
 
 def run(
-    graph_name: str = "p2p",
     scale: str = "small",
+    graph_name: str = "p2p",
     max_size: int = 4,
     hops: tuple[int, ...] = (0, 1, 2, 3),
 ) -> dict:
@@ -50,9 +50,8 @@ def run(
     }
 
 
-def main(scale: str = "small") -> str:
-    """Render both panels of Fig. 8 as text."""
-    data = run(scale=scale)
+def render(data: dict) -> str:
+    """Format :func:`run`'s result as both panels of Fig. 8."""
     iterations = sorted(next(iter(data["accuracy"].values())))
     acc_table = format_table(
         ["ON hops"] + [f"iter {i}" for i in iterations],
@@ -74,6 +73,11 @@ def main(scale: str = "small") -> str:
         f"(MC on {data['graph']})\n{acc_table}\n\n"
         f"Fig. 8 (b) ON-computation overhead / mining time\n{cost_table}"
     )
+
+
+def main(scale: str = "small") -> str:
+    """Run and render both panels of Fig. 8."""
+    return render(run(scale))
 
 
 if __name__ == "__main__":

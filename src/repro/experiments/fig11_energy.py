@@ -32,7 +32,7 @@ from .harness import (
 from .datasets import DATASET_ORDER
 from .table3_runtime import run as run_table3
 
-__all__ = ["run_energy", "run_total_time", "main", "FIG11_APPS"]
+__all__ = ["run", "run_energy", "run_total_time", "render", "main", "FIG11_APPS"]
 
 # A representative application subset (full Table III reuse is supported by
 # passing its cells in).
@@ -109,9 +109,19 @@ def run_total_time(scale: str = "small", app: str = "4-MC") -> list[dict]:
     return rows
 
 
-def main(scale: str = "small") -> str:
-    """Render both panels of Fig. 11."""
-    energy = run_energy(scale)
+def run(
+    scale: str = "small",
+    cells: list[CellResult] | None = None,
+) -> dict[str, list[dict]]:
+    """Both panels: ``energy`` (from ``cells`` if given) and ``total_time``."""
+    return {
+        "energy": run_energy(scale, cells=cells),
+        "total_time": run_total_time(scale),
+    }
+
+
+def render(data: dict[str, list[dict]]) -> str:
+    """Format :func:`run`'s result as both panels of Fig. 11."""
     energy_table = format_table(
         ["Graph", "Fractal (min/mean/max)", "RStream (min/mean/max)"],
         [
@@ -130,10 +140,9 @@ def main(scale: str = "small") -> str:
                     else "N/A"
                 ),
             ]
-            for r in energy
+            for r in data["energy"]
         ],
     )
-    total = run_total_time(scale)
     time_table = format_table(
         ["Graph", "Exec", "Preproc", "Preproc share", "Fractal", "RStream"],
         [
@@ -145,7 +154,7 @@ def main(scale: str = "small") -> str:
                 f"{(r['fractal_s'] or 0)*1e3:.1f}ms",
                 f"{(r['rstream_s'] or 0)*1e3:.1f}ms" if r["rstream_s"] else "N/A",
             ]
-            for r in total
+            for r in data["total_time"]
         ],
     )
     return (
@@ -154,6 +163,11 @@ def main(scale: str = "small") -> str:
         + "\n\nFig. 11 (b) total time including preprocessing (4-MC)\n"
         + time_table
     )
+
+
+def main(scale: str = "small") -> str:
+    """Run and render both panels of Fig. 11."""
+    return render(run(scale))
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from repro.accel.sim import make_simulator
 from . import datasets
 from .harness import build_app, experiment_config, format_table
 
-__all__ = ["run", "main", "FIG12_APPS", "FIG12_VARIANTS"]
+__all__ = ["run", "render", "main", "FIG12_APPS", "FIG12_VARIANTS"]
 
 FIG12_APPS = ["3-CF", "4-CF", "5-CF", "3-MC", "4-MC", "FSM"]
 FIG12_VARIANTS = [
@@ -73,9 +73,8 @@ def run(
     return rows
 
 
-def main(scale: str = "small") -> str:
-    """Render both panels of Fig. 12."""
-    rows = run(scale)
+def render(rows: list[dict]) -> str:
+    """Format :func:`run`'s rows as both panels of Fig. 12."""
     hit_table = format_table(
         ["App", "Variant", "Vertex hit", "Edge hit", "Perf vs Uniform"],
         [
@@ -93,6 +92,11 @@ def main(scale: str = "small") -> str:
         "Fig. 12 — LAMH vs Static+LRU vs Uniform LRU "
         "(P2P proxy, 10% on-chip memory)\n" + hit_table
     )
+
+
+def main(scale: str = "small") -> str:
+    """Run and render both panels of Fig. 12."""
+    return render(run(scale))
 
 
 if __name__ == "__main__":

@@ -15,7 +15,14 @@ from . import datasets
 from .harness import build_app, experiment_config, format_table
 from .datasets import DATASET_ORDER
 
-__all__ = ["run_slot_sweep", "run_work_stealing", "main", "SLOT_COUNTS"]
+__all__ = [
+    "run",
+    "run_slot_sweep",
+    "run_work_stealing",
+    "render",
+    "main",
+    "SLOT_COUNTS",
+]
 
 SLOT_COUNTS = (1, 2, 4, 8, 16)
 
@@ -78,18 +85,24 @@ def run_work_stealing(
     return rows
 
 
-def main(scale: str = "small") -> str:
-    """Render both panels of Fig. 13."""
-    sweep = run_slot_sweep(scale)
+def run(scale: str = "small") -> dict[str, list[dict]]:
+    """Both panels: ``slot_sweep`` (a) and ``work_stealing`` (b)."""
+    return {
+        "slot_sweep": run_slot_sweep(scale),
+        "work_stealing": run_work_stealing(scale),
+    }
+
+
+def render(data: dict[str, list[dict]]) -> str:
+    """Format :func:`run`'s result as both panels of Fig. 13."""
     sweep_table = format_table(
         ["Graph"] + [f"{s} slots" for s in SLOT_COUNTS],
         [
             [r["graph"]]
             + [f"{r['speedup'][s]:.2f}x" for s in SLOT_COUNTS]
-            for r in sweep
+            for r in data["slot_sweep"]
         ],
     )
-    stealing = run_work_stealing(scale)
     steal_table = format_table(
         ["Graph", "w/o stealing", "w/ stealing", "Speedup", "Steals"],
         [
@@ -100,13 +113,18 @@ def main(scale: str = "small") -> str:
                 f"{r['speedup']:.2f}x",
                 str(r["steals"]),
             ]
-            for r in stealing
+            for r in data["work_stealing"]
         ],
     )
     return (
         "Fig. 13 (a) speedup vs pipeline slots (5-CF)\n" + sweep_table
         + "\n\nFig. 13 (b) work stealing (5-CF)\n" + steal_table
     )
+
+
+def main(scale: str = "small") -> str:
+    """Run and render both panels of Fig. 13."""
+    return render(run(scale))
 
 
 if __name__ == "__main__":

@@ -16,7 +16,15 @@ from . import datasets
 from .harness import build_app, experiment_config, format_table
 from .datasets import DATASET_ORDER
 
-__all__ = ["run_tau_sweep", "run_lambda_sweep", "main", "TAUS", "LAMBDAS"]
+__all__ = [
+    "run",
+    "run_tau_sweep",
+    "run_lambda_sweep",
+    "render",
+    "main",
+    "TAUS",
+    "LAMBDAS",
+]
 
 TAUS = (0.01, 0.02, 0.05, 0.10, 0.20, 0.50)
 LAMBDAS = (0.5, 1.0, 2.0, 4.0, 8.0)
@@ -84,24 +92,30 @@ def run_lambda_sweep(
     return rows
 
 
-def main(scale: str = "small") -> str:
-    """Render both panels of Fig. 14."""
-    tau_rows = run_tau_sweep(scale)
+def run(scale: str = "small") -> dict[str, list[dict]]:
+    """Both panels: the ``tau`` sweep (a) and the ``lambda`` sweep (b)."""
+    return {
+        "tau": run_tau_sweep(scale),
+        "lambda": run_lambda_sweep(scale),
+    }
+
+
+def render(data: dict[str, list[dict]]) -> str:
+    """Format :func:`run`'s result as both panels of Fig. 14."""
     tau_table = format_table(
         ["Graph"] + [f"tau={t:.0%}" for t in TAUS],
         [
             [r["graph"]]
             + [f"{r['normalized'][t]:.2f}" for t in TAUS]
-            for r in tau_rows
+            for r in data["tau"]
         ],
     )
-    lam_rows = run_lambda_sweep(scale)
     lam_table = format_table(
         ["Graph"] + [f"lambda={lam}" for lam in LAMBDAS],
         [
             [r["graph"]]
             + [f"{r['normalized'][lam]:.2f}" for lam in LAMBDAS]
-            for r in lam_rows
+            for r in data["lambda"]
         ],
     )
     return (
@@ -110,6 +124,11 @@ def main(scale: str = "small") -> str:
         + "\n\nFig. 14 (b) performance vs lambda, normalised to lambda=1\n"
         + lam_table
     )
+
+
+def main(scale: str = "small") -> str:
+    """Run and render both panels of Fig. 14."""
+    return render(run(scale))
 
 
 if __name__ == "__main__":

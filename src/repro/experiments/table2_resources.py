@@ -13,7 +13,7 @@ from repro.accel.resources import PAPER_ONCHIP_ENTRIES, estimate_resources
 from .harness import format_table
 from .paper_data import TABLE2_UTILIZATION
 
-__all__ = ["run", "main"]
+__all__ = ["run", "render", "main"]
 
 
 def run() -> list[dict]:
@@ -39,9 +39,8 @@ def run() -> list[dict]:
     return rows
 
 
-def main() -> str:
-    """Render Table II (model | paper)."""
-    rows = run()
+def render(rows: list[dict]) -> str:
+    """Format :func:`run`'s rows as Table II (model | paper)."""
     table = format_table(
         ["", "CF", "FSM", "MC"],
         [
@@ -61,6 +60,11 @@ def main() -> str:
         ],
     )
     return "Table II — resource utilization, model (paper)\n" + table
+
+
+def main() -> str:
+    """Run and render Table II (model | paper)."""
+    return render(run())
 
 
 if __name__ == "__main__":

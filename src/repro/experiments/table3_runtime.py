@@ -17,7 +17,7 @@ from .harness import CellResult, cell_from_result, cell_jobspec, format_seconds,
 from .datasets import DATASET_ORDER
 from .paper_data import TABLE3_APPS, paper_speedup
 
-__all__ = ["run", "main", "speedup_rows", "cell_specs"]
+__all__ = ["run", "render", "main", "speedup_rows", "cell_specs"]
 
 _log = get_logger("experiments.table3")
 
@@ -119,16 +119,8 @@ def _fmt_ratio(value: float | None) -> str:
     return f"{value:.2f}x" if value is not None else "N/A"
 
 
-def main(
-    scale: str = "small",
-    apps: list[str] | None = None,
-    graphs: list[str] | None = None,
-    verbose: bool = True,
-    executor: Executor | None = None,
-) -> str:
-    """Render Table III with paper-speedup columns."""
-    cells = run(scale, apps, graphs, verbose=verbose, executor=executor)
-    rows = speedup_rows(cells)
+def render(rows: list[dict]) -> str:
+    """Format :func:`speedup_rows` as Table III with paper-speedup columns."""
     table = format_table(
         [
             "App", "Graph", "GRAMER", "Fractal", "RStream",
@@ -150,6 +142,18 @@ def main(
         ],
     )
     return "Table III — running time, GRAMER vs Fractal vs RStream\n" + table
+
+
+def main(
+    scale: str = "small",
+    apps: list[str] | None = None,
+    graphs: list[str] | None = None,
+    verbose: bool = True,
+    executor: Executor | None = None,
+) -> str:
+    """Run and render Table III."""
+    cells = run(scale, apps, graphs, verbose=verbose, executor=executor)
+    return render(speedup_rows(cells))
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from repro.accel.clockmodel import table4_design_points
 from .harness import format_table
 from .paper_data import TABLE4_CLOCK_MHZ
 
-__all__ = ["run", "main"]
+__all__ = ["run", "render", "main"]
 
 
 def run() -> list[dict]:
@@ -32,9 +32,8 @@ def run() -> list[dict]:
     return rows
 
 
-def main() -> str:
-    """Render Table IV (model | paper)."""
-    rows = run()
+def render(rows: list[dict]) -> str:
+    """Format :func:`run`'s rows as Table IV (model | paper)."""
     table = format_table(
         ["Design", "CF", "FSM", "MC"],
         [
@@ -49,6 +48,11 @@ def main() -> str:
         ],
     )
     return "Table IV — clock rate, model (paper)\n" + table
+
+
+def main() -> str:
+    """Run and render Table IV (model | paper)."""
+    return render(run())
 
 
 if __name__ == "__main__":

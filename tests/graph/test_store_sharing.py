@@ -6,14 +6,19 @@ worker takes) must be at least 10x faster than the cold build
 (generate + materialize), and worker processes that open the same
 artifact and touch every page must each peak at a flat RSS as the
 worker count grows from 1 to 4: the pages are shared through the OS
-page cache, not copied per worker.
+page cache, not copied per worker.  Peak RSS counts shared file-backed
+pages too, so a private copy would grow every worker alike; the arrays
+are therefore also checked to be read-only views of the mapping itself.
 """
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
 import resource
 import time
+
+import numpy as np
 
 from repro.graph.generators import rmat
 from repro.graph.store import GraphStore
@@ -25,6 +30,13 @@ MAX_RSS_SPREAD = 1.5
 def _touch_arrays(graph) -> int:
     """Fault every page of the graph's arrays in."""
     return int(graph.offsets.sum() + graph.neighbors.sum() + graph.labels.sum())
+
+
+def _reaches_mmap(array) -> bool:
+    base = array.base
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return isinstance(base, mmap.mmap)
 
 
 def _worker_peak_rss_kb(args: tuple[str, str]) -> int:
@@ -61,3 +73,13 @@ def test_warm_open_10x_cold_build_and_flat_worker_rss(tmp_path):
         f"per-worker peak RSS {peaks} KB at 1/2/4 workers; pages should "
         "be shared, not copied"
     )
+
+
+def test_opened_arrays_are_read_only_views_of_the_mapping(tmp_path):
+    store = GraphStore(tmp_path)
+    digest = store.put(rmat(8, 4, seed=1))
+    graph = GraphStore(tmp_path).open(digest)
+    for name in ("offsets", "neighbors", "labels"):
+        array = getattr(graph, name)
+        assert not array.flags.writeable, f"{name} is writeable"
+        assert _reaches_mmap(array), f"{name} is a copy, not the mapping"

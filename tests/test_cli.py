@@ -75,6 +75,14 @@ class TestCLI:
               "--out", str(tmp_path), "--jobs", "2", "--no-cache"])
         assert (tmp_path / "table2.txt").exists()
 
+    def test_experiment_rejects_unknown_name(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["experiment", "--scale", "tiny", "--only", "fig4",
+                  "--out", str(tmp_path)])
+        assert info.value.code == 2
+        assert "invalid choice: 'fig4'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_sweep(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"
         main(["sweep", "--apps", "3-CF", "--datasets", "citeseer",

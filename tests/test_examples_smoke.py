@@ -45,25 +45,3 @@ def test_example_runs_on_fast_engine(example):
     )
     assert completed.stdout.strip(), f"{example} produced no output"
 
-
-def test_final_batch_script_imports():
-    """scripts/final_batch.py is too slow to smoke-run; importing it
-    still catches interface drift against the experiment modules."""
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    completed = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import importlib.util as u; "
-            "spec = u.spec_from_file_location('final_batch', "
-            "'scripts/final_batch.py'); "
-            "module = u.module_from_spec(spec); "
-            "spec.loader.exec_module(module)",
-        ],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-        cwd=REPO_ROOT,
-    )
-    assert completed.returncode == 0, completed.stderr[-2000:]
