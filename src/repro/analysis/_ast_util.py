@@ -27,6 +27,7 @@ __all__ = [
     "dotted_name",
     "is_pool_submission",
     "source_kind",
+    "span",
     "tail_name",
 ]
 
@@ -166,6 +167,22 @@ def tail_name(node: ast.AST) -> str | None:
     if isinstance(node, ast.Attribute):
         return node.attr
     return node.id if isinstance(node, ast.Name) else None
+
+
+def span(
+    node: ast.FunctionDef | ast.AsyncFunctionDef,
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Start and end ``(line, col)`` of a def's subtree, decorators included.
+
+    AST spans nest, so a node lies in a def's subtree exactly when its
+    start lies in this span: a fact pass over a module's nodes can place
+    a node in its enclosing defs without walking any of them.
+    """
+    first = node.decorator_list[0] if node.decorator_list else node
+    return (
+        (first.lineno, first.col_offset),
+        (node.end_lineno or node.lineno, node.end_col_offset or 0),
+    )
 
 
 def _receiver_is_pool(func: ast.Attribute) -> bool:

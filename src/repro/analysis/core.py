@@ -356,7 +356,13 @@ def _collect_suppressions(
     its own line; a *standalone* comment covers the next code line (so a
     multi-line reason can sit above the statement it excuses).  Both are
     then widened to the statement unit the covered line belongs to.
+
+    Every comment token is a substring of the source, so a source the
+    marker pattern never matches holds no suppression: it is neither
+    tokenized nor split into statement units.
     """
+    if not _SUPPRESS_RE.search(source):
+        return []
     source_lines = source.splitlines()
     units = _statement_units(nodes)
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.analysis._ast_util import span
 from repro.analysis.core import Finding, ModuleContext, rule
 
 
@@ -90,27 +91,6 @@ _TIMING_FIELDS = frozenset(
 )
 
 
-def _mentions_turbo(scope: ast.AST) -> bool:
-    """True when ``scope`` shows evidence of the turbo engine.
-
-    Evidence is an ``"turbo"`` string literal (``engine="turbo"``), any
-    identifier containing ``turbo`` (``TurboGramerSimulator``, a
-    ``turbo_result`` fixture parameter), matched on names, attributes and
-    function parameters.  Docstrings that merely discuss turbo do not
-    count — the literal must be exactly ``"turbo"``.
-    """
-    for sub in ast.walk(scope):
-        if isinstance(sub, ast.Constant) and sub.value == "turbo":
-            return True
-        if isinstance(sub, ast.Name) and "turbo" in sub.id.lower():
-            return True
-        if isinstance(sub, ast.Attribute) and "turbo" in sub.attr.lower():
-            return True
-        if isinstance(sub, ast.arg) and "turbo" in sub.arg.lower():
-            return True
-    return False
-
-
 def _is_approx_call(node: ast.expr) -> bool:
     if not isinstance(node, ast.Call):
         return False
@@ -130,33 +110,44 @@ def _is_approx_call(node: ast.expr) -> bool:
 def adhoc_turbo_timing_equality(context: ModuleContext) -> Iterator[Finding]:
     if _is_exempt(context.relpath):
         return
-    seen: set[int] = set()
-    for func in context.nodes:
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    # Evidence is a ``turbo`` source site of the module's one fact pass; a
+    # function is in turbo context when its source span (decorators and
+    # nested defs included) holds one, so no function is walked.
+    evidence = [(site.lineno, site.col_offset) for site in context.sites("turbo")]
+    if not evidence:
+        return
+    turbo = [
+        (start, end)
+        for start, end in (
+            span(node)
+            for node in context.nodes
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        )
+        if any(start <= at <= end for at in evidence)
+    ]
+    for node in context.nodes:
+        if not isinstance(node, ast.Compare):
             continue
-        if not _mentions_turbo(func):
+        at = (node.lineno, node.col_offset)
+        if not any(start <= at <= end for start, end in turbo):
             continue
-        for node in ast.walk(func):
-            if id(node) in seen or not isinstance(node, ast.Compare):
-                continue
-            if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
-                continue
-            sides = [node.left, *node.comparators]
-            field = next(
-                (
-                    s.attr
-                    for s in sides
-                    if isinstance(s, ast.Attribute) and s.attr in _TIMING_FIELDS
-                ),
-                None,
-            )
-            if field is None or any(_is_approx_call(s) for s in sides):
-                continue
-            seen.add(id(node))
-            yield context.finding(
-                node,
-                "GRM702",
-                f"exact comparison of SimStats timing field {field!r} in "
-                "turbo context — the turbo engine has been removed; this "
-                "rule is kept only for the benchmark's frozen findings",
-            )
+        if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+            continue
+        sides = [node.left, *node.comparators]
+        field = next(
+            (
+                s.attr
+                for s in sides
+                if isinstance(s, ast.Attribute) and s.attr in _TIMING_FIELDS
+            ),
+            None,
+        )
+        if field is None or any(_is_approx_call(s) for s in sides):
+            continue
+        yield context.finding(
+            node,
+            "GRM702",
+            f"exact comparison of SimStats timing field {field!r} in "
+            "turbo context — the turbo engine has been removed; this "
+            "rule is kept only for the benchmark's frozen findings",
+        )

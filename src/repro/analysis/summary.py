@@ -58,6 +58,7 @@ from ._ast_util import (
     dotted_name,
     is_pool_submission,
     source_kind,
+    span,
     tail_name,
 )
 
@@ -144,6 +145,11 @@ class SourceSite:
     ``seeded`` is set on seedable RNG constructor calls only.  Kind
     ``"pool"`` is an argument a pool submission pickles (``form`` is
     ``"lambda"`` or ``"argument"``), ``via`` the submission method.
+    Kind ``"turbo"`` is evidence of the removed turbo engine: a constant
+    exactly ``"turbo"`` (``form`` ``"constant"``), or a name, attribute or
+    parameter whose identifier contains ``turbo`` (``form`` ``"name"``,
+    ``"attribute"`` or ``"arg"``); a docstring that merely discusses
+    turbo is no evidence.
     ``lineno``/``col_offset`` are the anchor node's, so a site anchors a
     finding as that node would.
     """
@@ -270,18 +276,25 @@ def _passes_seed(call: ast.Call) -> bool:
     return False
 
 
+_Def = ast.FunctionDef | ast.AsyncFunctionDef
+
+
 def _scan_module(
     nodes: Iterable[ast.AST],
-) -> tuple[list[tuple[str, str]], list[SourceSite]]:
-    """One pass over a module's nodes: its import bindings and source sites."""
+) -> tuple[list[tuple[str, str]], list[SourceSite], list[_Def]]:
+    """One pass over a module's nodes: import bindings, source sites, defs.
+
+    The defs come in ``ast.walk`` order, for :func:`_nested_defs`.
+    """
     # Later bindings win, matching Python semantics closely enough.
     bindings: dict[str, str] = {}
     sites: list[SourceSite] = []
+    defs: list[_Def] = []
 
     def add(
         kind: str,
         name: str,
-        at: ast.expr | ast.stmt,
+        at: ast.expr | ast.stmt | ast.arg,
         form: str,
         seeded: bool | None = None,
         via: str = "",
@@ -291,13 +304,26 @@ def _scan_module(
         )
 
     for node in nodes:
-        if isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Name):
+            if "turbo" in node.id.lower():
+                add("turbo", node.id, node, "name")
+        elif isinstance(node, ast.Attribute):
             # GRM101/GRM201 flag any reference to a clock or the
             # environment (``now = time.time``), not only calls.
             name = dotted_name(node)
             kind = source_kind(name)
             if name and kind in ("wallclock", "env"):
                 add(kind, name, node, "attribute")
+            if "turbo" in node.attr.lower():
+                add("turbo", node.attr, node, "attribute")
+        elif isinstance(node, ast.Constant):
+            if node.value == "turbo":
+                add("turbo", "turbo", node, "constant")
+        elif isinstance(node, ast.arg):
+            if "turbo" in node.arg.lower():
+                add("turbo", node.arg, node, "arg")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs.append(node)
         elif isinstance(node, ast.Call):
             func = node.func
             # ``make().load_edge_list()`` is named by its method.
@@ -331,7 +357,33 @@ def _scan_module(
                 if alias.name != "*":
                     target = ".".join(filter(None, (node.module, alias.name)))
                     bindings[alias.asname or alias.name] = "." * node.level + target
-    return sorted(bindings.items()), sites
+    return sorted(bindings.items()), sites, defs
+
+
+def _nested_defs(defs: list[_Def]) -> dict[int, list[_Def]]:
+    """Each def's nested defs (any depth), in ``ast.walk`` order.
+
+    ``defs`` is every def of a module in ``ast.walk`` order; keys are
+    ``id()``s of defs that nest at least one other.  Nesting is read off
+    source spans (:func:`~repro.analysis._ast_util.span`): one stack over
+    the defs in source order holds exactly the defs enclosing the next
+    one.  The module walk is breadth-first, so its order restricted to
+    one def's subtree is that def's own walk order.
+    """
+    spans = [span(node) for node in defs]
+    nested: dict[int, list[int]] = {}
+    stack: list[int] = []
+    for index in sorted(range(len(defs)), key=lambda i: spans[i]):
+        start = spans[index][0]
+        while stack and spans[stack[-1]][1] <= start:
+            stack.pop()
+        for outer in stack:
+            nested.setdefault(outer, []).append(index)
+        stack.append(index)
+    return {
+        id(defs[outer]): [defs[index] for index in sorted(inner)]
+        for outer, inner in nested.items()
+    }
 
 
 # -- the intra-procedural walker -------------------------------------------
@@ -762,21 +814,28 @@ def _annotation_name(node: ast.expr) -> str | None:
 
 
 def _summarize_function(
-    node: ast.FunctionDef | ast.AsyncFunctionDef,
+    node: _Def,
     class_name: str | None,
     imports: dict[str, str],
+    nested_defs: dict[int, list[_Def]],
+    memo: dict[int, FunctionSummary],
 ) -> FunctionSummary:
+    """One function's summary; its nested defs come from ``nested_defs``.
+
+    A nested def is summarized once per module (``memo``, keyed by the
+    def's ``id()``), however many defs enclose it.
+    """
     params = _param_names(node.args)
 
     # Summarize nested defs first so calls to them expand inline.
     local_funcs: dict[str, FunctionSummary] = {}
-    for stmt in ast.walk(node):
-        if stmt is node:
-            continue
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            local_funcs[stmt.name] = _summarize_function(
-                stmt, class_name=None, imports=imports
+    for stmt in nested_defs.get(id(node), ()):
+        summary = memo.get(id(stmt))
+        if summary is None:
+            summary = memo[id(stmt)] = _summarize_function(
+                stmt, None, imports, nested_defs, memo
             )
+        local_funcs[stmt.name] = summary
 
     walker = _FunctionWalker(params, local_funcs, imports)
     walker.nested.extend(local_funcs)
@@ -905,8 +964,10 @@ def summarize_module(
     only the module rules, which run in the same analysis step, so they
     stay out of it.
     """
-    import_list, sites = _scan_module(nodes)
+    import_list, sites, defs = _scan_module(nodes)
     imports = dict(import_list)
+    nested_defs = _nested_defs(defs)
+    memo: dict[int, FunctionSummary] = {}
     functions: list[FunctionSummary] = []
     classes: list[tuple[str, tuple[str, ...]]] = []
     class_bases: list[tuple[str, tuple[str, ...]]] = []
@@ -916,7 +977,7 @@ def summarize_module(
     for stmt in _top_level_statements(tree.body):
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             functions.append(
-                _summarize_function(stmt, class_name=None, imports=imports)
+                _summarize_function(stmt, None, imports, nested_defs, memo)
             )
         elif isinstance(stmt, ast.ClassDef):
             methods: list[str] = []
@@ -927,7 +988,7 @@ def summarize_module(
                     methods.append(item.name)
                     functions.append(
                         _summarize_function(
-                            item, class_name=stmt.name, imports=imports
+                            item, stmt.name, imports, nested_defs, memo
                         )
                     )
                     if item.name in ("cache_key", "fingerprint"):

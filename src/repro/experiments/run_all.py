@@ -112,20 +112,29 @@ def main(argv: list[str] | None = None) -> None:
     )
     args = parser.parse_args(argv)
     selected = args.only if args.only else EXPERIMENTS
-    jobs = resolve_jobs(args.jobs)
-    executor = Executor(jobs=jobs, use_cache=not args.no_cache)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
-    # Merge into prior results so partial re-runs keep the other entries.
+    # A partial run merges into the prior results so the other entries
+    # stay; the file then keeps its scale and its full run's wall time.
     payload: dict[str, object] = {}
     existing = out_dir / "results.json"
-    if existing.exists():
+    partial = set(selected) != set(EXPERIMENTS)
+    if partial and existing.exists():
         try:
             payload = json.loads(existing.read_text(encoding="utf-8"))
         except json.JSONDecodeError:
             payload = {}
+        prior_scale = payload.get("scale", args.scale)
+        if prior_scale != args.scale:
+            parser.error(
+                f"{existing} holds --scale {prior_scale} results; a partial "
+                f"--scale {args.scale} run cannot merge into it (use another "
+                "--out, or run every experiment)"
+            )
     payload["scale"] = args.scale
+    jobs = resolve_jobs(args.jobs)
+    executor = Executor(jobs=jobs, use_cache=not args.no_cache)
+    out_dir.mkdir(parents=True, exist_ok=True)
     reports: dict[str, tuple[str, object]] = {}
 
     start = time.perf_counter()
@@ -162,12 +171,13 @@ def main(argv: list[str] | None = None) -> None:
         payload[name] = data
         (out_dir / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
 
-    payload["wall_seconds"] = time.perf_counter() - start
+    wall_seconds = time.perf_counter() - start
+    payload.setdefault("wall_seconds", wall_seconds)
     with open(out_dir / "results.json", "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, default=str)
     console(
         f"\nCompleted {len(selected)} experiments in "
-        f"{payload['wall_seconds']:.0f}s; results under {out_dir}/"
+        f"{wall_seconds:.0f}s; results under {out_dir}/"
     )
 
 

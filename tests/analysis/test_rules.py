@@ -316,6 +316,71 @@ class TestRuleEdgeCases:
         )
         assert check_source(source, "tests/foo/test_counts.py") == []
 
+    # Each source's only turbo evidence is of one kind; the expected
+    # (line, col, field) findings were recorded from the per-function
+    # ast.walk implementation of the rule.
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            pytest.param(
+                "def test_outer(a, b):\n"
+                "    def pick(engine='turbo'):\n"
+                "        return engine\n"
+                "    assert a.stats.cycles == b.stats.cycles\n"
+                "\n"
+                "def test_sibling(a, b):\n"
+                "    assert a.stats.steals != b.stats.steals\n",
+                [(4, 11, "cycles")],
+                id="nested-function",
+            ),
+            pytest.param(
+                "def test_outer(a, b):\n"
+                "    def mid():\n"
+                "        def inner(x):\n"
+                "            assert x.stats.dram_accesses == 3\n"
+                "            return x.turbo\n"
+                "        return inner\n"
+                "    assert a.stats.cycles == b.stats.cycles\n",
+                [(4, 19, "dram_accesses"), (7, 11, "cycles")],
+                id="nested-two-deep",
+            ),
+            pytest.param(
+                "def test_param(use_turbo, a, b):\n"
+                "    assert a.stats.vertex_misses == b.stats.vertex_misses\n",
+                [(2, 11, "vertex_misses")],
+                id="parameter",
+            ),
+            pytest.param(
+                "def test_attr(cfg, a, b):\n"
+                "    cfg.turbo_mode\n"
+                "    assert a.stats.edge_misses == b.stats.edge_misses\n",
+                [(3, 11, "edge_misses")],
+                id="attribute",
+            ),
+            pytest.param(
+                "def test_concat(run, a, b):\n"
+                "    run(engine='tur' 'bo')\n"
+                "    assert a.stats.cycles != b.stats.cycles\n",
+                [(3, 11, "cycles")],
+                id="concatenated-constant",
+            ),
+            pytest.param(
+                "ENGINE = 'turbo'\n"
+                "def test_mod(a, b):\n"
+                "    assert a.stats.cycles == b.stats.cycles\n",
+                [],
+                id="module-scope-only",
+            ),
+        ],
+    )
+    def test_turbo_evidence_kinds(self, source, expected):
+        findings = [
+            (f.line, f.col, f.message.split("'")[1])
+            for f in check_source(source, "tests/foo/test_kinds.py")
+            if f.rule_id == "GRM702"
+        ]
+        assert findings == expected
+
     def test_print_allowed_on_sanctioned_output_surfaces(self):
         for relpath in (
             "src/repro/cli.py",

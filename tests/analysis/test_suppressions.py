@@ -2,7 +2,8 @@
 
 from pathlib import Path
 
-from repro.analysis import check_paths, check_source, select_rules
+from repro.analysis import all_rules, check_paths, check_source, select_rules
+from repro.analysis.core import module_records
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -93,6 +94,46 @@ class TestSuppressionEdgeCases:
             "    return 1\n"
         )
         assert ids(source) == []
+
+
+def suppressions(tmp_path: Path, source: str) -> tuple:
+    path = tmp_path / "snippet.py"
+    path.write_text(source, encoding="utf-8")
+    (record,) = module_records([path], all_rules()).values()
+    return record.suppressions
+
+
+class TestSuppressionPrefilter:
+    """Only a source holding the marker is tokenized; the result is exact."""
+
+    def test_marker_in_string_literal_silences_nothing(self, tmp_path):
+        source = (
+            "import time\n"
+            'NOTE = "# gramer: ignore"\n'
+            'x = (time.time(), "# gramer: ignore[GRM101]")\n'
+        )
+        assert ids(source) == ["GRM101"]
+        assert suppressions(tmp_path, source) == ()
+
+    def test_spacing_variants_parse_to_the_same_ids(self, tmp_path):
+        source = (
+            "import time\n"
+            "a = time.time()  #gramer:ignore\n"
+            "b = time.time()  #  gramer:  ignore[GRM101, grm102]\n"
+            "c = time.time()  # gramer: ignore[GRM101,GRM102]\n"
+        )
+        assert ids(source) == []
+        entries = suppressions(tmp_path, source)
+        assert [(s.line, s.ids) for s in entries] == [
+            (2, None),
+            (3, ("GRM101", "GRM102")),
+            (4, ("GRM101", "GRM102")),
+        ]
+
+    def test_file_without_marker_reports_findings(self, tmp_path):
+        source = "import time\nx = time.time()\n"
+        assert ids(source) == ["GRM101"]
+        assert suppressions(tmp_path, source) == ()
 
 
 class TestUnusedSuppressionRule:
