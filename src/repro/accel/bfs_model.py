@@ -17,9 +17,9 @@ a lower bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from .config import GramerConfig
-from .sim import SimResult
 
 __all__ = ["BFSModeEstimate", "estimate_bfs_mode"]
 
@@ -56,36 +56,37 @@ class BFSModeEstimate:
 
 
 def estimate_bfs_mode(
-    result: SimResult,
-    config: GramerConfig | None = None,
+    cycles: int,
+    embeddings_by_size: Mapping[int, int],
+    max_vertices: int,
+    config: GramerConfig,
     offchip_capacity_bytes: int = _DEFAULT_OFFCHIP_CAPACITY_BYTES,
 ) -> BFSModeEstimate:
-    """Project a DFS :class:`SimResult` onto the BFS execution model.
+    """Project a DFS run's ``cycles`` and counts onto the BFS execution model.
 
-    Intermediate embeddings are every accepted embedding below the maximum
-    size (those are exactly what BFS mode materialises between levels); each
-    is ``size × 8`` bytes, written once and read once.  The DRAM channels
+    Intermediate embeddings are every accepted embedding below
+    ``max_vertices``, the application's maximum size (those are exactly
+    what BFS mode materialises between levels); each is ``size × 8``
+    bytes, written once and read once.  The DRAM channels of ``config``
     move one 8-byte beat per ``dram_cycles_per_transfer`` cycles each.
     """
-    cfg = config if config is not None else result.config
-    by_size = result.mining.embeddings_by_size
-    max_size = result.mining.max_vertices
-
     intermediate_bytes = 0
     peak_level_bytes = 0
-    for size, count in by_size.items():
-        if size >= max_size:
+    for size, count in embeddings_by_size.items():
+        if size >= max_vertices:
             continue
         level_bytes = count * size * _BYTES_PER_EMBEDDING_VERTEX
         intermediate_bytes += 2 * level_bytes  # write + read back
         peak_level_bytes = max(peak_level_bytes, level_bytes)
 
     beats = intermediate_bytes // _BYTES_PER_EMBEDDING_VERTEX
-    channel_beats_per_cycle = cfg.dram_channels / cfg.dram_cycles_per_transfer
+    channel_beats_per_cycle = (
+        config.dram_channels / config.dram_cycles_per_transfer
+    )
     transfer_cycles = int(beats / channel_beats_per_cycle)
 
     return BFSModeEstimate(
-        dfs_cycles=result.cycles,
+        dfs_cycles=cycles,
         intermediate_bytes=intermediate_bytes,
         transfer_cycles=transfer_cycles,
         peak_level_bytes=peak_level_bytes,

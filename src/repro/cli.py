@@ -834,7 +834,8 @@ def main(argv: list[str] | None = None) -> None:
     experiment.add_argument("--only", nargs="*", default=None,
                             choices=EXPERIMENTS)
     experiment.add_argument("--jobs", type=int, default=None,
-                            help="sweep workers for the cell grid "
+                            help="claim/lease sweep workers over each "
+                                 "experiment's cells "
                                  "(default: $GRAMER_JOBS or 1)")
     experiment.add_argument("--no-cache", action="store_true",
                             help="recompute cells instead of reusing cached results")

@@ -19,10 +19,19 @@ calls them out and this module quantifies each:
 
 from __future__ import annotations
 
-from repro.accel.sim import make_simulator
+from repro.runtime.executor import Executor
 
 from . import datasets
-from .harness import build_app, experiment_config, format_table
+from .harness import (
+    build_app,
+    experiment_config,
+    format_table,
+    gramer_spec,
+    normalized_rows,
+    onchip_entries,
+    run_cells,
+    sweep,
+)
 
 __all__ = [
     "run",
@@ -39,31 +48,27 @@ def run_steal_selector(
     scale: str = "small",
     app_name: str = "5-CF",
     graphs: list[str] | None = None,
+    executor: Executor | None = None,
 ) -> list[dict]:
     """Stealing-buffer victim selection vs the LFSR of [8]."""
     graphs = graphs if graphs is not None else ["p2p", "mico", "lj"]
-    rows = []
-    for graph_name in graphs:
-        graph = datasets.load(graph_name, scale)
-        cycles = {}
-        steals = {}
-        for selector in ("stealing_buffer", "random"):
-            app = build_app(app_name, graph_name, scale)
-            config = experiment_config(steal_victim_select=selector)
-            result = make_simulator(graph, config).run(app)
-            cycles[selector] = result.cycles
-            steals[selector] = result.stats.steals
-        rows.append(
-            {
-                "graph": graph_name,
-                "cycles_buffer": cycles["stealing_buffer"],
-                "cycles_random": cycles["random"],
-                "buffer_speedup": cycles["random"] / cycles["stealing_buffer"],
-                "steals_buffer": steals["stealing_buffer"],
-                "steals_random": steals["random"],
-            }
-        )
-    return rows
+    selectors = ("stealing_buffer", "random")
+    cells = sweep(
+        scale, app_name, graphs, "steal_victim_select", selectors, executor
+    )
+    return [
+        {
+            "graph": graph_name,
+            "cycles_buffer": cell["stealing_buffer"]["cycles"],
+            "cycles_random": cell["random"]["cycles"],
+            "buffer_speedup": (
+                cell["random"]["cycles"] / cell["stealing_buffer"]["cycles"]
+            ),
+            "steals_buffer": cell["stealing_buffer"]["steals"],
+            "steals_random": cell["random"]["steals"],
+        }
+        for graph_name, cell in cells.items()
+    ]
 
 
 def run_rank_source(
@@ -71,6 +76,7 @@ def run_rank_source(
     app_name: str = "5-CF",
     graphs: list[str] | None = None,
     memory_fraction: float = 0.10,
+    executor: Executor | None = None,
 ) -> list[dict]:
     """ON1 ranks vs identity ranks (no reordering).
 
@@ -78,34 +84,29 @@ def run_rank_source(
     with the whole graph resident the rank source cannot matter.
     """
     graphs = graphs if graphs is not None else ["p2p", "mico", "lj"]
+    specs = {}
+    for graph_name in graphs:
+        budget = onchip_entries(graph_name, scale, memory_fraction)
+        for on1 in (True, False):
+            specs[graph_name, on1] = gramer_spec(
+                app_name,
+                graph_name,
+                scale,
+                params=None if on1 else {"use_on1_ranks": False},
+                onchip_entries=budget,
+            )
+    cells = run_cells(specs, executor)
     rows = []
     for graph_name in graphs:
-        graph = datasets.load(graph_name, scale)
-        budget = max(
-            64,
-            int(memory_fraction * (graph.num_vertices + len(graph.neighbors))),
-        )
-        results = {}
-        for label, use_on1 in (("on1", True), ("identity", False)):
-            app = build_app(app_name, graph_name, scale)
-            sim = make_simulator(
-                graph,
-                experiment_config(onchip_entries=budget),
-                use_on1_ranks=use_on1,
-            )
-            results[label] = sim.run(app)
+        on1, identity = cells[graph_name, True], cells[graph_name, False]
         rows.append(
             {
                 "graph": graph_name,
-                "on1_cycles": results["on1"].cycles,
-                "identity_cycles": results["identity"].cycles,
-                "on1_speedup": (
-                    results["identity"].cycles / results["on1"].cycles
-                ),
-                "on1_vertex_hit": results["on1"].stats.vertex_hit_ratio,
-                "identity_vertex_hit": (
-                    results["identity"].stats.vertex_hit_ratio
-                ),
+                "on1_cycles": on1["cycles"],
+                "identity_cycles": identity["cycles"],
+                "on1_speedup": identity["cycles"] / on1["cycles"],
+                "on1_vertex_hit": on1["vertex_hit_ratio"],
+                "identity_vertex_hit": identity["vertex_hit_ratio"],
             }
         )
     return rows
@@ -117,6 +118,9 @@ def run_arbitrator_policy(
     graphs: list[str] | None = None,
 ) -> list[dict]:
     """Round-robin vs degree-balanced initial-embedding dispatch (§V-C)."""
+    # Direct, not a cell spec: GramerBackend's detail has no load_imbalance.
+    from repro.accel.sim import make_simulator
+
     graphs = graphs if graphs is not None else ["p2p", "mico", "lj"]
     rows = []
     for graph_name in graphs:
@@ -149,35 +153,33 @@ def run_partition_sweep(
     app_name: str = "5-CF",
     graph_name: str = "mico",
     partitions: tuple[int, ...] = (1, 2, 4, 8, 16),
+    executor: Executor | None = None,
 ) -> list[dict]:
     """Memory partition count vs performance."""
-    graph = datasets.load(graph_name, scale)
-    rows = []
-    base_cycles = None
-    for count in partitions:
-        app = build_app(app_name, graph_name, scale)
-        config = experiment_config(num_partitions=count)
-        cycles = make_simulator(graph, config).run(app).cycles
-        if base_cycles is None:
-            base_cycles = cycles
-        rows.append(
-            {
-                "graph": graph_name,
-                "partitions": count,
-                "cycles": cycles,
-                "speedup_vs_1": base_cycles / cycles,
-            }
-        )
-    return rows
+    cells = sweep(
+        scale, app_name, [graph_name], "num_partitions", partitions, executor
+    )
+    (row,) = normalized_rows(cells, partitions[0], "speedup_vs_1")
+    return [
+        {
+            "graph": graph_name,
+            "partitions": count,
+            "cycles": row["cycles"][count],
+            "speedup_vs_1": row["speedup_vs_1"][count],
+        }
+        for count in partitions
+    ]
 
 
-def run(scale: str = "small") -> dict[str, list[dict]]:
+def run(
+    scale: str = "small", executor: Executor | None = None
+) -> dict[str, list[dict]]:
     """All four ablations, keyed as ``results.json`` stores them."""
     return {
-        "steal_selector": run_steal_selector(scale),
-        "rank_source": run_rank_source(scale),
+        "steal_selector": run_steal_selector(scale, executor=executor),
+        "rank_source": run_rank_source(scale, executor=executor),
         "arbitrator": run_arbitrator_policy(scale),
-        "partitions": run_partition_sweep(scale),
+        "partitions": run_partition_sweep(scale, executor=executor),
     }
 
 

@@ -2,18 +2,23 @@
 
 The paper argues BFS-style accelerators would "waste significant memory
 bandwidth" on intermediate embeddings and need infeasible off-chip
-capacity.  This experiment runs the DFS simulator and projects each run
-onto the (bandwidth-optimistic) BFS-mode cost model, reporting the
-projected slowdown and intermediate traffic per graph.
+capacity.  This experiment takes Table III's DFS-mode GRAMER cells and
+projects each onto the (bandwidth-optimistic) BFS-mode cost model,
+reporting the projected slowdown and intermediate traffic per graph.
 """
 
 from __future__ import annotations
 
 from repro.accel.bfs_model import estimate_bfs_mode
-from repro.accel.sim import make_simulator
+from repro.runtime.executor import Executor
 
-from . import datasets
-from .harness import build_app, experiment_config, format_table
+from .harness import (
+    build_app,
+    experiment_config,
+    format_table,
+    gramer_spec,
+    run_cells,
+)
 from .datasets import DATASET_ORDER
 
 __all__ = ["run", "render", "main"]
@@ -23,15 +28,22 @@ def run(
     scale: str = "small",
     app_name: str = "4-MC",
     graphs: list[str] | None = None,
+    executor: Executor | None = None,
 ) -> list[dict]:
     """One row per graph: DFS cycles vs projected BFS-mode cycles."""
     graphs = graphs if graphs is not None else list(DATASET_ORDER)
+    cells = run_cells(
+        {graph: gramer_spec(app_name, graph, scale) for graph in graphs},
+        executor,
+    )
     rows = []
-    for graph_name in graphs:
-        graph = datasets.load(graph_name, scale)
-        app = build_app(app_name, graph_name, scale)
-        result = make_simulator(graph, experiment_config()).run(app)
-        estimate = estimate_bfs_mode(result)
+    for graph_name, detail in cells.items():
+        estimate = estimate_bfs_mode(
+            detail["cycles"],
+            detail["embeddings"],
+            build_app(app_name, graph_name, scale).max_vertices,
+            experiment_config(),
+        )
         rows.append(
             {
                 "graph": graph_name,

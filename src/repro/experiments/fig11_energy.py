@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 
+from repro.runtime.executor import Executor
+
 from . import datasets
 from .harness import (
     CellResult,
@@ -32,20 +34,20 @@ from .harness import (
 from .datasets import DATASET_ORDER
 from .table3_runtime import run as run_table3
 
-__all__ = ["run", "run_energy", "run_total_time", "render", "main", "FIG11_APPS"]
-
-# A representative application subset (full Table III reuse is supported by
-# passing its cells in).
-FIG11_APPS = ["3-CF", "4-CF", "3-MC", "FSM"]
+__all__ = ["run", "run_energy", "run_total_time", "render", "main"]
 
 
 def run_energy(
     scale: str = "small",
     cells: list[CellResult] | None = None,
+    executor: Executor | None = None,
 ) -> list[dict]:
-    """Per graph: normalised baseline energy (min/mean/max over apps)."""
+    """Per graph: normalised baseline energy (min/mean/max over apps).
+
+    Without ``cells``, Table III's whole grid runs through ``executor``.
+    """
     if cells is None:
-        cells = run_table3(scale, apps=FIG11_APPS)
+        cells = run_table3(scale, executor=executor)
     by_graph: dict[str, dict[str, list[float]]] = {}
     grouped: dict[tuple[str, str], dict[str, CellResult]] = {}
     for cell in cells:
@@ -112,10 +114,11 @@ def run_total_time(scale: str = "small", app: str = "4-MC") -> list[dict]:
 def run(
     scale: str = "small",
     cells: list[CellResult] | None = None,
+    executor: Executor | None = None,
 ) -> dict[str, list[dict]]:
     """Both panels: ``energy`` (from ``cells`` if given) and ``total_time``."""
     return {
-        "energy": run_energy(scale, cells=cells),
+        "energy": run_energy(scale, cells=cells, executor=executor),
         "total_time": run_total_time(scale),
     }
 

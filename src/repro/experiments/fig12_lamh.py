@@ -15,10 +15,9 @@ for Static+LRU over Uniform (1.60–2.95× speedup) and a further +1–6pp /
 
 from __future__ import annotations
 
-from repro.accel.sim import make_simulator
+from repro.runtime.executor import Executor
 
-from . import datasets
-from .harness import build_app, experiment_config, format_table
+from .harness import format_table, gramer_spec, onchip_entries, run_cells
 
 __all__ = ["run", "render", "main", "FIG12_APPS", "FIG12_VARIANTS"]
 
@@ -35,35 +34,35 @@ def run(
     graph_name: str = "p2p",
     memory_fraction: float = 0.10,
     apps: list[str] | None = None,
+    executor: Executor | None = None,
 ) -> list[dict]:
     """One row per (app, variant) with hit ratios and cycles."""
     apps = apps if apps is not None else list(FIG12_APPS)
-    rows = []
-    for app_name in apps:
-        probe_app = build_app(app_name, graph_name, scale)
-        graph = (
-            datasets.load_labeled(graph_name, scale)
-            if probe_app.needs_labels
-            else datasets.load(graph_name, scale)
-        )
-        total_entries = max(
-            64, int(memory_fraction * (graph.num_vertices + len(graph.neighbors)))
-        )
-        for label, policy in FIG12_VARIANTS:
-            app = build_app(app_name, graph_name, scale)
-            config = experiment_config(
-                onchip_entries=total_entries, low_policy=policy
+    total_entries = onchip_entries(graph_name, scale, memory_fraction)
+    cells = run_cells(
+        {
+            (app_name, label): gramer_spec(
+                app_name,
+                graph_name,
+                scale,
+                onchip_entries=total_entries,
+                low_policy=policy,
             )
-            result = make_simulator(graph, config).run(app)
-            rows.append(
-                {
-                    "app": app_name,
-                    "variant": label,
-                    "vertex_hit": result.stats.vertex_hit_ratio,
-                    "edge_hit": result.stats.edge_hit_ratio,
-                    "cycles": result.cycles,
-                }
-            )
+            for app_name in apps
+            for label, policy in FIG12_VARIANTS
+        },
+        executor,
+    )
+    rows = [
+        {
+            "app": app_name,
+            "variant": label,
+            "vertex_hit": detail["vertex_hit_ratio"],
+            "edge_hit": detail["edge_hit_ratio"],
+            "cycles": detail["cycles"],
+        }
+        for (app_name, label), detail in cells.items()
+    ]
     # Normalise performance to Uniform LRU per app.
     baseline = {
         r["app"]: r["cycles"] for r in rows if r["variant"] == "Uniform LRU"

@@ -9,10 +9,9 @@ pressure).
 
 from __future__ import annotations
 
-from repro.accel.sim import make_simulator
+from repro.runtime.executor import Executor
 
-from . import datasets
-from .harness import build_app, experiment_config, format_table
+from .harness import format_table, normalized_rows, sweep
 from .datasets import DATASET_ORDER
 
 __all__ = [
@@ -31,65 +30,42 @@ def run_slot_sweep(
     scale: str = "small",
     app_name: str = "5-CF",
     graphs: list[str] | None = None,
+    executor: Executor | None = None,
 ) -> list[dict]:
     """Per graph: cycles at each slot count, normalised to 1 slot."""
     graphs = graphs if graphs is not None else list(DATASET_ORDER)
-    rows = []
-    for graph_name in graphs:
-        graph = datasets.load(graph_name, scale)
-        cycles = {}
-        for slots in SLOT_COUNTS:
-            app = build_app(app_name, graph_name, scale)
-            config = experiment_config(slots_per_pu=slots)
-            cycles[slots] = make_simulator(graph, config).run(app).cycles
-        rows.append(
-            {
-                "graph": graph_name,
-                "cycles": cycles,
-                "speedup": {
-                    s: cycles[SLOT_COUNTS[0]] / c for s, c in cycles.items()
-                },
-            }
-        )
-    return rows
+    cells = sweep(scale, app_name, graphs, "slots_per_pu", SLOT_COUNTS, executor)
+    return normalized_rows(cells, SLOT_COUNTS[0], "speedup")
 
 
 def run_work_stealing(
     scale: str = "small",
     app_name: str = "5-CF",
     graphs: list[str] | None = None,
+    executor: Executor | None = None,
 ) -> list[dict]:
     """Per graph: cycles with/without stealing and the resulting speedup."""
     graphs = graphs if graphs is not None else list(DATASET_ORDER)
-    rows = []
-    for graph_name in graphs:
-        graph = datasets.load(graph_name, scale)
-        cycles = {}
-        steals = 0
-        for stealing in (False, True):
-            app = build_app(app_name, graph_name, scale)
-            config = experiment_config(work_stealing=stealing)
-            result = make_simulator(graph, config).run(app)
-            cycles[stealing] = result.cycles
-            if stealing:
-                steals = result.stats.steals
-        rows.append(
-            {
-                "graph": graph_name,
-                "cycles_without": cycles[False],
-                "cycles_with": cycles[True],
-                "speedup": cycles[False] / cycles[True],
-                "steals": steals,
-            }
-        )
-    return rows
+    cells = sweep(scale, app_name, graphs, "work_stealing", (False, True), executor)
+    return [
+        {
+            "graph": graph_name,
+            "cycles_without": cell[False]["cycles"],
+            "cycles_with": cell[True]["cycles"],
+            "speedup": cell[False]["cycles"] / cell[True]["cycles"],
+            "steals": cell[True]["steals"],
+        }
+        for graph_name, cell in cells.items()
+    ]
 
 
-def run(scale: str = "small") -> dict[str, list[dict]]:
+def run(
+    scale: str = "small", executor: Executor | None = None
+) -> dict[str, list[dict]]:
     """Both panels: ``slot_sweep`` (a) and ``work_stealing`` (b)."""
     return {
-        "slot_sweep": run_slot_sweep(scale),
-        "work_stealing": run_work_stealing(scale),
+        "slot_sweep": run_slot_sweep(scale, executor=executor),
+        "work_stealing": run_work_stealing(scale, executor=executor),
     }
 
 

@@ -10,10 +10,9 @@ only 0.91×–1.07× variation.
 
 from __future__ import annotations
 
-from repro.accel.sim import make_simulator
+from repro.runtime.executor import Executor
 
-from . import datasets
-from .harness import build_app, experiment_config, format_table
+from .harness import format_table, normalized_rows, sweep
 from .datasets import DATASET_ORDER
 
 __all__ = [
@@ -35,6 +34,7 @@ def run_tau_sweep(
     scale: str = "small",
     app_name: str = "5-CF",
     graphs: list[str] | None = None,
+    executor: Executor | None = None,
 ) -> list[dict]:
     """Per graph: cycles per τ, normalised to τ = 50%.
 
@@ -42,61 +42,31 @@ def run_tau_sweep(
     whole graph (high = low = 50% of the data): ``total = 2 × τ × data``.
     """
     graphs = graphs if graphs is not None else list(TAU_GRAPHS)
-    rows = []
-    for graph_name in graphs:
-        graph = datasets.load(graph_name, scale)
-        data_entries = graph.num_vertices + len(graph.neighbors)
-        cycles = {}
-        for tau in TAUS:
-            app = build_app(app_name, graph_name, scale)
-            config = experiment_config(
-                onchip_entries=2 * data_entries, tau=tau
-            )
-            cycles[tau] = make_simulator(graph, config).run(app).cycles
-        rows.append(
-            {
-                "graph": graph_name,
-                "cycles": cycles,
-                "normalized": {
-                    tau: cycles[0.50] / c for tau, c in cycles.items()
-                },
-            }
-        )
-    return rows
+    cells = sweep(
+        scale, app_name, graphs, "tau", TAUS, executor, memory_fraction=2
+    )
+    return normalized_rows(cells, 0.50, "normalized")
 
 
 def run_lambda_sweep(
     scale: str = "small",
     app_name: str = "5-CF",
     graphs: list[str] | None = None,
+    executor: Executor | None = None,
 ) -> list[dict]:
     """Per graph: cycles per λ, normalised to λ = 1."""
     graphs = graphs if graphs is not None else list(DATASET_ORDER)
-    rows = []
-    for graph_name in graphs:
-        graph = datasets.load(graph_name, scale)
-        cycles = {}
-        for lam in LAMBDAS:
-            app = build_app(app_name, graph_name, scale)
-            config = experiment_config(lam=lam)
-            cycles[lam] = make_simulator(graph, config).run(app).cycles
-        rows.append(
-            {
-                "graph": graph_name,
-                "cycles": cycles,
-                "normalized": {
-                    lam: cycles[1.0] / c for lam, c in cycles.items()
-                },
-            }
-        )
-    return rows
+    cells = sweep(scale, app_name, graphs, "lam", LAMBDAS, executor)
+    return normalized_rows(cells, 1.0, "normalized")
 
 
-def run(scale: str = "small") -> dict[str, list[dict]]:
+def run(
+    scale: str = "small", executor: Executor | None = None
+) -> dict[str, list[dict]]:
     """Both panels: the ``tau`` sweep (a) and the ``lambda`` sweep (b)."""
     return {
-        "tau": run_tau_sweep(scale),
-        "lambda": run_lambda_sweep(scale),
+        "tau": run_tau_sweep(scale, executor=executor),
+        "lambda": run_lambda_sweep(scale, executor=executor),
     }
 
 

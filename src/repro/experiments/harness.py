@@ -1,17 +1,12 @@
 """Shared experiment harness.
 
 Every ``figNN_*``/``tableN_*`` module produces plain-dict rows through the
-helpers here: one function runs a (system, app, graph) cell, one formats
-aligned text tables, one serialises results to JSON for EXPERIMENTS.md.
-
-Since the runtime refactor, cells execute through the backend registry of
-:mod:`repro.runtime`: each ``run_*_cell`` helper is a thin builder that
-assembles a :class:`~repro.runtime.spec.JobSpec`, routes it through
-:func:`~repro.runtime.executor.run_spec` (artifact cache included), and
-converts the :class:`~repro.runtime.spec.JobResult` back into the legacy
-:class:`CellResult` shape the figure/table modules consume.  The cell
-semantics (fixed overheads, energy accounting) live in
-:mod:`repro.runtime.backends`.
+helpers here.  A cell is a :class:`~repro.runtime.spec.JobSpec` run by a
+:mod:`repro.runtime` backend (cell semantics such as fixed overheads and
+energy live in :mod:`repro.runtime.backends`): :func:`run_cells` and
+:func:`sweep` submit a figure's cells through one
+:class:`~repro.runtime.executor.Executor` (artifact cache included), and
+the ``run_*_cell`` helpers run one cell inline as a :class:`CellResult`.
 """
 
 from __future__ import annotations
@@ -19,13 +14,13 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.accel.config import GramerConfig
 from repro.accel.energy import EnergyParams
 from repro.baselines.cpu import CPUConfig
 from repro.runtime.backends import build_app, experiment_config
-from repro.runtime.executor import run_spec
+from repro.runtime.executor import Executor, run_spec
 from repro.runtime.spec import JobResult, JobSpec, json_safe_keys, make_jobspec
 
 from . import datasets
@@ -35,8 +30,13 @@ __all__ = [
     "experiment_config",
     "build_app",
     "cell_jobspec",
+    "gramer_spec",
+    "onchip_entries",
     "cell_from_result",
     "run_cell",
+    "run_cells",
+    "sweep",
+    "normalized_rows",
     "run_gramer_cell",
     "run_fractal_cell",
     "run_rstream_cell",
@@ -86,6 +86,29 @@ def cell_jobspec(
     )
 
 
+def gramer_spec(
+    app_name: str,
+    graph_name: str,
+    scale: str = "small",
+    params: dict | None = None,
+    **overrides,
+) -> JobSpec:
+    """A GRAMER cell on ``experiment_config(**overrides)``.
+
+    Only overrides that differ from :func:`experiment_config` enter the
+    spec, so a default-valued sweep point is Table III's own cell.
+    """
+    defaults = experiment_config()
+    config = _config_overrides(experiment_config(**overrides), defaults)
+    return cell_jobspec("gramer", app_name, graph_name, scale, config, params)
+
+
+def onchip_entries(graph_name: str, scale: str, fraction: float) -> int:
+    """On-chip entries for ``fraction`` of the graph's V + E words (≥ 64)."""
+    graph = datasets.load(graph_name, scale)
+    return max(64, int(fraction * (graph.num_vertices + len(graph.neighbors))))
+
+
 def cell_from_result(result: JobResult) -> CellResult:
     """Convert a runtime JobResult into the legacy CellResult shape."""
     return CellResult(
@@ -107,6 +130,65 @@ def run_cell(spec: JobSpec) -> CellResult:
     return cell_from_result(result)
 
 
+def run_cells(
+    specs: Mapping[Any, JobSpec], executor: Executor | None = None
+) -> dict[Any, dict]:
+    """Run each distinct spec once through ``executor`` (default: inline).
+
+    Returns key -> the cell's detail; a failed cell raises, as
+    :func:`run_cell` does.
+    """
+    executor = executor if executor is not None else Executor()
+    distinct = list(dict.fromkeys(specs.values()))
+    results = dict(zip(distinct, executor.run(distinct)))
+    for result in results.values():
+        if not result.ok:
+            raise RuntimeError(
+                f"cell {result.spec.label()} failed: {result.error}"
+            )
+    return {key: results[spec].detail for key, spec in specs.items()}
+
+
+def sweep(
+    scale: str,
+    app_name: str,
+    graphs: Sequence[str],
+    field: str,
+    values: Sequence[Any],
+    executor: Executor | None = None,
+    memory_fraction: float | None = None,
+) -> dict[str, dict[Any, dict]]:
+    """Per graph, per value of config ``field``: the GRAMER cell's detail.
+
+    With ``memory_fraction``, each graph's on-chip memory holds that share
+    of its data (:func:`onchip_entries`).  Runs through :func:`run_cells`.
+    """
+    specs = {}
+    for graph in graphs:
+        sized = {}
+        if memory_fraction is not None:
+            sized["onchip_entries"] = onchip_entries(graph, scale, memory_fraction)
+        for value in values:
+            specs[graph, value] = gramer_spec(
+                app_name, graph, scale, **sized, **{field: value}
+            )
+    cells = run_cells(specs, executor)
+    return {g: {value: cells[g, value] for value in values} for g in graphs}
+
+
+def normalized_rows(
+    cells: Mapping[str, Mapping[Any, dict]], reference: Any, key: str
+) -> list[dict]:
+    """One row per graph of a :func:`sweep`: its ``cycles`` per point and,
+    under ``key``, each point's speedup over the ``reference`` point."""
+    rows = []
+    for graph, by_point in cells.items():
+        cycles = {point: detail["cycles"] for point, detail in by_point.items()}
+        ratios = {point: cycles[reference] / c for point, c in cycles.items()}
+        rows.append({"graph": graph, "cycles": cycles, key: ratios})
+    return rows
+
+
 def run_gramer_cell(
     app_name: str,
     graph_name: str,
@@ -122,15 +204,10 @@ def run_gramer_cell(
     # energy_params with all-default fields must still reach the backend.
     if energy_params is not None and not params:
         params = {"energy_static_w": EnergyParams().static_w}
-    spec = cell_jobspec(
-        "gramer",
-        app_name,
-        graph_name,
-        scale,
-        config=_config_overrides(config, experiment_config()),
-        params=params,
+    fields = asdict(config) if config is not None else {}
+    return run_cell(
+        gramer_spec(app_name, graph_name, scale, params=params, **fields)
     )
-    return run_cell(spec)
 
 
 def run_fractal_cell(

@@ -25,7 +25,7 @@ re-hashed per job.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
 import numpy as np
@@ -185,6 +185,9 @@ class Backend(Protocol):
     """
 
     name: str
+    #: The ``JobSpec.params`` keys ``run`` reads; ``make_jobspec`` rejects
+    #: any other key, so a typo cannot run the default under its own key.
+    param_keys: frozenset[str]
 
     def run(
         self,
@@ -201,6 +204,9 @@ class GramerBackend:
 
     name = "gramer"
     system = "GRAMER"
+    param_keys = frozenset(
+        ["use_on1_ranks"] + [f"energy_{f.name}" for f in fields(EnergyParams)]
+    )
 
     def run(
         self,
@@ -309,6 +315,7 @@ class FractalBackend:
 
     name = "fractal"
     system = "Fractal"
+    param_keys = frozenset(["task_overhead_s"])
 
     def _model(self, spec: JobSpec) -> FractalModel:
         params = spec.params_dict()
@@ -337,6 +344,7 @@ class RStreamBackend:
 
     name = "rstream"
     system = "RStream"
+    param_keys = frozenset(["startup_overhead_s", "max_frontier"])
 
     def _model(self, spec: JobSpec) -> RStreamModel:
         params = spec.params_dict()
@@ -371,6 +379,7 @@ class SoftwareBackend:
 
     name = "software"
     system = "Software"
+    param_keys: frozenset[str] = frozenset()
 
     def run(
         self,

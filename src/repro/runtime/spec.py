@@ -126,7 +126,22 @@ def make_jobspec(
     params: Mapping[str, Any] | None = None,
     seed: int = 0,
 ) -> JobSpec:
-    """Build a :class:`JobSpec`, normalizing override mappings."""
+    """Build a :class:`JobSpec`, normalizing override mappings.
+
+    Raises ``ValueError`` for a ``params`` key the backend does not read
+    (its ``param_keys``).
+    """
+    frozen_params = _freeze_overrides(params, "params")
+    if frozen_params:
+        from .backends import get_backend  # backends imports this module
+
+        known = get_backend(backend).param_keys
+        unknown = [key for key, _ in frozen_params if key not in known]
+        if unknown:
+            raise ValueError(
+                f"backend {backend!r} reads no params {unknown}; "
+                f"its params are {sorted(known)}"
+            )
     return JobSpec(
         backend=backend,
         app=app,
@@ -134,7 +149,7 @@ def make_jobspec(
         scale=scale,
         graph_path=graph_path,
         config=_freeze_overrides(config, "config"),
-        params=_freeze_overrides(params, "params"),
+        params=frozen_params,
         seed=seed,
     )
 

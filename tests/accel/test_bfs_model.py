@@ -9,6 +9,16 @@ from repro.graph.generators import powerlaw_cluster
 from repro.mining.apps import CliqueFinding, MotifCounting
 
 
+def _estimate(result, **kwargs):
+    return estimate_bfs_mode(
+        result.cycles,
+        result.mining.embeddings_by_size,
+        result.mining.max_vertices,
+        result.config,
+        **kwargs,
+    )
+
+
 @pytest.fixture(scope="module")
 def result():
     graph = powerlaw_cluster(300, 4, 0.5, seed=41)
@@ -19,12 +29,12 @@ def result():
 
 class TestEstimate:
     def test_bfs_never_faster(self, result):
-        estimate = estimate_bfs_mode(result)
+        estimate = _estimate(result)
         assert estimate.bfs_cycles >= estimate.dfs_cycles
         assert estimate.slowdown >= 1.0
 
     def test_intermediates_counted(self, result):
-        estimate = estimate_bfs_mode(result)
+        estimate = _estimate(result)
         by_size = result.mining.embeddings_by_size
         expected = sum(
             2 * count * size * 8
@@ -35,21 +45,21 @@ class TestEstimate:
         assert estimate.peak_level_bytes > 0
 
     def test_final_level_not_materialised(self, result):
-        estimate = estimate_bfs_mode(result)
+        estimate = _estimate(result)
         final = result.mining.embeddings_by_size.get(4, 0) * 4 * 8
         assert estimate.peak_level_bytes != final or final == 0
 
     def test_capacity_check(self, result):
-        generous = estimate_bfs_mode(result)
+        generous = _estimate(result)
         assert generous.fits_offchip
-        tight = estimate_bfs_mode(result, offchip_capacity_bytes=16)
+        tight = _estimate(result, offchip_capacity_bytes=16)
         assert not tight.fits_offchip
 
     def test_more_intermediates_more_slowdown(self):
         graph = powerlaw_cluster(300, 4, 0.5, seed=41)
         sim = make_simulator(graph, GramerConfig(onchip_entries=512))
-        shallow = estimate_bfs_mode(sim.run(CliqueFinding(3)))
-        deep = estimate_bfs_mode(sim.run(MotifCounting(4)))
+        shallow = _estimate(sim.run(CliqueFinding(3)))
+        deep = _estimate(sim.run(MotifCounting(4)))
         assert deep.intermediate_bytes > shallow.intermediate_bytes
 
 
