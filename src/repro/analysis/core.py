@@ -26,8 +26,10 @@ nothing are themselves findings (``GRM002``), except entries that name
 ``GRM002`` explicitly — the sanctioned way to keep a speculative entry.
 
 Each file gets one analysis step: it parses the file once, walks the
-tree once into :attr:`ModuleContext.nodes` (every module rule and the
-suppression scanner iterate that list), reduces the same tree to the
+tree once into a typed node index (:meth:`ModuleContext.of` returns the
+nodes of the kinds asked for, in ``ast.walk`` order, so every module
+rule and the suppression scanner read only the kinds they inspect),
+reduces the same tree to the
 :class:`~repro.analysis.summary.ModuleSummary` the project pass needs
 and to the source sites the module rules query, and runs the module
 rules.
@@ -51,10 +53,19 @@ import hashlib
 import re
 import tokenize
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    TypeVar,
+    cast,
+)
 
-from .summary import ModuleSummary, SourceSite, summarize_module
+from .summary import SCAN_KINDS, ModuleSummary, SourceSite, summarize_module
 
 if TYPE_CHECKING:
     from repro.runtime.cache import ArtifactCache
@@ -84,7 +95,7 @@ __all__ = [
 
 #: Bump to invalidate every cached per-file record when the engine's
 #: behavior changes in a way the source digest cannot see.
-ANALYSIS_VERSION = 1
+ANALYSIS_VERSION = 2
 
 #: Relative-path fragments whose files never get GRM002 findings: fixture
 #: corpora deliberately carry suppressions that tests point rules at.
@@ -109,6 +120,53 @@ class Finding:
         return (self.path, self.line, self.col, self.rule_id)
 
 
+_Node = TypeVar("_Node", bound=ast.AST)
+
+#: The expression-context leaves every ``Name``/``Attribute``/``Subscript``
+#: (and starred or unpacked target) carries.  About a third of a module's
+#: nodes, no rule reads them, so the node index skips them.
+_CONTEXT_KINDS = frozenset({ast.Load, ast.Store, ast.Del})
+
+#: Kinds whose fields never hold a node the index keeps (a ``Name``'s
+#: one child is its context), so the walk does not look inside them.
+_LEAF_KINDS = frozenset({ast.Name, ast.Constant})
+
+
+def _node_index(
+    tree: ast.AST,
+) -> tuple[list[ast.AST], dict[type[ast.AST], list[int]]]:
+    """``tree``'s nodes in ``ast.walk`` order, and their positions by type.
+
+    One breadth-first walk over a list that grows behind its own cursor,
+    in ``ast.walk``'s order, bar the context leaves (which have no
+    children, so skipping them moves no other node).  Each node's
+    position is filed under its exact type.  ``Name`` and ``Constant``
+    are a third of a module's nodes, so skipping their field loop pays.
+    """
+    order: list[ast.AST] = [tree]
+    append = order.append
+    index: dict[type[ast.AST], list[int]] = {}
+    for position, node in enumerate(order):
+        kind = type(node)
+        bucket = index.get(kind)
+        if bucket is None:
+            index[kind] = [position]
+        else:
+            bucket.append(position)
+        if kind in _LEAF_KINDS:
+            continue
+        for name in node._fields:
+            value = getattr(node, name, None)
+            if isinstance(value, ast.AST):
+                if type(value) not in _CONTEXT_KINDS:
+                    append(value)
+            elif isinstance(value, list):
+                for item in value:
+                    if isinstance(item, ast.AST):
+                        append(item)
+    return order, index
+
+
 @dataclass(frozen=True)
 class ModuleContext:
     """Everything a rule may inspect about one module: path, source, AST."""
@@ -119,10 +177,13 @@ class ModuleContext:
     # Path relative to the checked root, POSIX-style, for stable matching
     # (rules that scope themselves to sub-packages match against this).
     relpath: str
-    #: Every node of ``tree`` in ``ast.walk`` order, walked once here;
-    #: rules iterate this instead of re-walking the whole module.
-    nodes: tuple[ast.AST, ...] = field(init=False, repr=False, compare=False)
-    #: :func:`~repro.analysis.summary.summarize_module` of ``nodes``: the
+    #: ``tree``'s nodes (context leaves skipped) in ``ast.walk`` order and
+    #: their positions by exact type, walked once here; :meth:`of` reads it.
+    _order: list[ast.AST] = field(init=False, repr=False, compare=False)
+    _index: dict[type[ast.AST], list[int]] = field(
+        init=False, repr=False, compare=False
+    )
+    #: :func:`~repro.analysis.summary.summarize_module` of the module: the
     #: facts the project pass keeps (cached with the file record) ...
     summary: ModuleSummary = field(init=False, repr=False, compare=False)
     #: ... and the source sites the module rules query (not cached).
@@ -131,10 +192,30 @@ class ModuleContext:
     )
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(ast.walk(self.tree)))
-        summary, sites = summarize_module(self.tree, self.nodes)
+        order, index = _node_index(self.tree)
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_index", index)
+        summary, sites = summarize_module(self.tree, self.of(*SCAN_KINDS))
         object.__setattr__(self, "summary", summary)
         object.__setattr__(self, "source_sites", sites)
+
+    def of(self, *kinds: type[_Node]) -> list[_Node]:
+        """The module's nodes of exactly these types, in ``ast.walk`` order.
+
+        Types match exactly (``of(ast.stmt)`` finds nothing; list the
+        concrete statement types).  ``Load``/``Store``/``Del`` context
+        leaves are not indexed.
+        """
+        index = self._index
+        if len(kinds) == 1:
+            positions: Iterable[int] = index.get(kinds[0], ())
+        else:
+            # Each bucket is ascending, so the sort merges sorted runs.
+            positions = sorted(
+                chain.from_iterable(index.get(kind, ()) for kind in kinds)
+            )
+        order = self._order
+        return cast("list[_Node]", [order[position] for position in positions])
 
     def sites(self, kind: str) -> Iterator[SourceSite]:
         """The module's source sites of one kind, in ``ast.walk`` order."""
@@ -311,7 +392,11 @@ class Suppression:
         return self.ids is None or finding.rule_id.upper() in self.ids
 
 
-def _statement_units(nodes: Iterable[ast.AST]) -> dict[int, set[int]]:
+#: Every concrete statement type, for :func:`_statement_units`' query.
+_STATEMENT_KINDS: tuple[type[ast.stmt], ...] = tuple(ast.stmt.__subclasses__())
+
+
+def _statement_units(statements: Iterable[ast.stmt]) -> dict[int, set[int]]:
     """Map each physical line to the full line-span of its statement unit.
 
     A *unit* is the set of lines a suppression anywhere inside it covers:
@@ -329,9 +414,7 @@ def _statement_units(nodes: Iterable[ast.AST]) -> dict[int, set[int]]:
         for line in span:
             units.setdefault(line, set()).update(span)
 
-    for node in nodes:
-        if not isinstance(node, ast.stmt):
-            continue
+    for node in statements:
         decorators = getattr(node, "decorator_list", None)
         if decorators:
             add(decorators[0].lineno, node.lineno)
@@ -347,7 +430,7 @@ def _statement_units(nodes: Iterable[ast.AST]) -> dict[int, set[int]]:
 
 
 def _collect_suppressions(
-    source: str, nodes: Iterable[ast.AST]
+    source: str, context: ModuleContext
 ) -> list[Suppression]:
     """Parse every suppression comment, with aliased line coverage.
 
@@ -364,7 +447,7 @@ def _collect_suppressions(
     if not _SUPPRESS_RE.search(source):
         return []
     source_lines = source.splitlines()
-    units = _statement_units(nodes)
+    units = _statement_units(context.of(*_STATEMENT_KINDS))
 
     def comment_only(lineno: int) -> bool:  # 1-based line number
         if lineno > len(source_lines):
@@ -524,7 +607,7 @@ def _analyze_source(
             summary=None,
         )
     context = ModuleContext(path=path, source=source, tree=tree, relpath=rel)
-    suppressions = _collect_suppressions(source, context.nodes)
+    suppressions = _collect_suppressions(source, context)
     raw = [
         finding
         for r in rules

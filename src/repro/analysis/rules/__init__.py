@@ -7,7 +7,9 @@ the module's source sites (``context.sites(kind)``), whose
 catalogs live once in :mod:`repro.analysis._ast_util`; GRM203 tests a
 memoized scope's nodes against the same environment catalog, and the
 project pass taints from the same catalogs.  The other module rules
-iterate ``context.nodes``.  Families and their ID blocks:
+query the node kinds they inspect (``context.of(ast.Call)``), in
+``ast.walk`` order, off the module's one node index.  Families and their
+ID blocks:
 
 * ``determinism`` (GRM1xx) — wall-clock reads and unseeded RNGs;
 * ``purity`` (GRM2xx) — environment reads, mutable module globals, and

@@ -40,9 +40,7 @@ def _is_exempt(relpath: str) -> bool:
 def direct_simulator_construction(context: ModuleContext) -> Iterator[Finding]:
     if _is_exempt(context.relpath):
         return
-    for node in context.nodes:
-        if not isinstance(node, ast.Call):
-            continue
+    for node in context.of(ast.Call):
         func = node.func
         name = None
         if isinstance(func, ast.Name):
@@ -116,18 +114,16 @@ def adhoc_turbo_timing_equality(context: ModuleContext) -> Iterator[Finding]:
     evidence = [(site.lineno, site.col_offset) for site in context.sites("turbo")]
     if not evidence:
         return
+    defs: list[ast.FunctionDef | ast.AsyncFunctionDef] = [
+        *context.of(ast.FunctionDef),
+        *context.of(ast.AsyncFunctionDef),
+    ]
     turbo = [
         (start, end)
-        for start, end in (
-            span(node)
-            for node in context.nodes
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        )
+        for start, end in (span(node) for node in defs)
         if any(start <= at <= end for at in evidence)
     ]
-    for node in context.nodes:
-        if not isinstance(node, ast.Compare):
-            continue
+    for node in context.of(ast.Compare):
         at = (node.lineno, node.col_offset)
         if not any(start <= at <= end for start, end in turbo):
             continue

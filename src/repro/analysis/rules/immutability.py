@@ -65,9 +65,7 @@ def _is_frozen(decorator: ast.expr | ast.Call) -> bool:
     "spec-like dataclass (Spec/Result/Config/Params suffix) not frozen",
 )
 def unfrozen_spec_dataclass(context: ModuleContext) -> Iterator[Finding]:
-    for node in context.nodes:
-        if not isinstance(node, ast.ClassDef):
-            continue
+    for node in context.of(ast.ClassDef):
         if not node.name.endswith(_FROZEN_SUFFIXES):
             continue
         decorator = _dataclass_decorator(node)
@@ -89,7 +87,7 @@ def unfrozen_spec_dataclass(context: ModuleContext) -> Iterator[Finding]:
     "attribute assignment on a spec/config object after construction",
 )
 def spec_attribute_assignment(context: ModuleContext) -> Iterator[Finding]:
-    for node in context.nodes:
+    for node in context.of(ast.Assign, ast.AugAssign, ast.AnnAssign):
         targets: list[ast.expr]
         if isinstance(node, ast.Assign):
             targets = node.targets

@@ -74,12 +74,8 @@ def bare_print(context: ModuleContext) -> Iterator[Finding]:
     if context.relpath.endswith(_EXEMPT_RELPATH_SUFFIXES):
         return
     guard_ranges = _main_guard_ranges(context.tree)
-    for node in context.nodes:
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "print"
-        ):
+    for node in context.of(ast.Call):
+        if not (isinstance(node.func, ast.Name) and node.func.id == "print"):
             continue
         line = node.lineno
         if any(start <= line <= end for start, end in guard_ranges):
@@ -119,10 +115,9 @@ def _is_tracer_receiver(name: str | None) -> bool:
 def raw_tracer_emit(context: ModuleContext) -> Iterator[Finding]:
     if "repro/obs/" in context.relpath:
         return  # the obs layer owns the primitives (hooks.py wraps them)
-    for node in context.nodes:
+    for node in context.of(ast.Call):
         if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
+            isinstance(node.func, ast.Attribute)
             and node.func.attr in _TRACER_PRIMITIVES
         ):
             continue

@@ -209,7 +209,8 @@ def impure_memoized_scope(context: ModuleContext) -> Iterator[Finding]:
     # reaches an enclosing scope before the scopes nested in it, so a later
     # scope's claim on a node replaces the enclosing one's.
     impure: dict[int, tuple[ast.AST, str, str]] = {}
-    for description, scope in _memoized_scopes(context.nodes):
+    scope_kinds = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef, ast.Call)
+    for description, scope in _memoized_scopes(context.of(*scope_kinds)):
         for node, what in _impure_nodes(scope):
             impure[id(node)] = (node, what, description)
     for node, what, description in impure.values():

@@ -98,9 +98,7 @@ def _body_is_trivial(handler: ast.ExceptHandler) -> bool:
     "broad except handler swallows the error without re-raise or logging",
 )
 def exception_swallowing(context: ModuleContext) -> Iterator[Finding]:
-    for node in context.nodes:
-        if not isinstance(node, ast.ExceptHandler):
-            continue
+    for node in context.of(ast.ExceptHandler):
         if not _names_broad_type(node.type):
             continue
         if _handles_the_error(node):
@@ -165,9 +163,7 @@ def non_atomic_write(context: ModuleContext) -> Iterator[Finding]:
         return
     if _GRM802_EXEMPT in context.relpath:
         return
-    for node in context.nodes:
-        if not isinstance(node, ast.Call):
-            continue
+    for node in context.of(ast.Call):
         mode = _open_write_mode(node)
         if mode is not None:
             yield context.finding(

@@ -82,7 +82,8 @@ def _operand_label(node: ast.expr) -> str:
     "additive arithmetic or ordering across mismatched unit suffixes",
 )
 def mixed_unit_arithmetic(context: ModuleContext) -> Iterator[Finding]:
-    for node in context.nodes:
+    # Both kinds, or the ordering comparisons go unchecked.
+    for node in context.of(ast.BinOp, ast.Compare):
         if isinstance(node, ast.BinOp) and isinstance(
             node.op, (ast.Add, ast.Sub)
         ):
@@ -115,11 +116,9 @@ def mixed_unit_arithmetic(context: ModuleContext) -> Iterator[Finding]:
     "float equality on a measured time/energy quantity",
 )
 def float_equality_on_measured(context: ModuleContext) -> Iterator[Finding]:
-    for node in context.nodes:
+    for node in context.of(ast.Compare):
         if not (
-            isinstance(node, ast.Compare)
-            and len(node.ops) == 1
-            and isinstance(node.ops[0], (ast.Eq, ast.NotEq))
+            len(node.ops) == 1 and isinstance(node.ops[0], (ast.Eq, ast.NotEq))
         ):
             continue
         left, right = node.left, node.comparators[0]

@@ -6,8 +6,9 @@ module graph, a call graph, and an interprocedural taint analysis without
 ever re-reading the file — and, in the same pass, to the module's
 :class:`SourceSite` records, which the module rules query.  It runs
 inside the per-file analysis step (:mod:`repro.analysis.core`), over the
-tree and ``ast.walk`` node list the module rules share, before those
-rules run.  The summary rides in that step's cached
+tree and the nodes of the kinds it classifies, read off the node index
+the module rules share, before those rules run.  The summary rides in
+that step's cached
 :class:`~repro.analysis.core.FileRecord`; the sites are consumed by the
 module rules in the same step and are not cached.  A summary does not
 know its module's dotted name, so one record serves every checked root:
@@ -64,6 +65,7 @@ from ._ast_util import (
 
 __all__ = [
     "DETERMINISTIC_RESULT_FIELDS",
+    "SCAN_KINDS",
     "CallSite",
     "Sink",
     "SourceSite",
@@ -113,25 +115,27 @@ class Sink:
     ctor keyword), ``cache_key`` (the key argument of an
     ``ArtifactCache`` method or ``stable_hash``), or ``stats_field``
     (a ``SimStats`` ctor keyword or ``<...stats...>.field`` assignment).
+    ``atoms`` are sorted, as are all atoms a summary keeps, so a record
+    pickles to the same bytes under any string-hash seed.
     """
 
     kind: str
     detail: str
     line: int
     col: int
-    atoms: Atoms
+    atoms: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class Submit:
-    """A pool submission site: the callable and per-argument atoms."""
+    """A pool submission site: the callable and per-argument sorted atoms."""
 
     method: str
     line: int
     col: int
     callee: str | None
     callee_kind: str  # "name" | "lambda" | "nested" | "other"
-    arg_atoms: tuple[Atoms, ...]
+    arg_atoms: tuple[tuple[str, ...], ...]
     arg_names: tuple[str, ...]
 
 
@@ -173,7 +177,7 @@ class FunctionSummary:
     param_annotations: tuple[tuple[str, str], ...]  # (param, annotation)
     line: int
     calls: tuple[CallSite, ...]
-    return_atoms: Atoms
+    return_atoms: tuple[str, ...]  # sorted
     sinks: tuple[Sink, ...]
     submits: tuple[Submit, ...]
     # (param name, attribute, line) for plain field reads off parameters.
@@ -190,7 +194,7 @@ class FunctionSummary:
     @property
     def return_calls(self) -> tuple[str, ...]:
         return tuple(
-            sorted(a[len("call:"):] for a in self.return_atoms if a.startswith("call:"))
+            a[len("call:"):] for a in self.return_atoms if a.startswith("call:")
         )
 
 
@@ -278,13 +282,28 @@ def _passes_seed(call: ast.Call) -> bool:
 
 _Def = ast.FunctionDef | ast.AsyncFunctionDef
 
+#: The node types :func:`_scan_module` classifies; it ignores any other.
+SCAN_KINDS: tuple[type[ast.AST], ...] = (
+    ast.Name,
+    ast.Attribute,
+    ast.Constant,
+    ast.arg,
+    ast.FunctionDef,
+    ast.AsyncFunctionDef,
+    ast.Call,
+    ast.Import,
+    ast.ImportFrom,
+)
+
 
 def _scan_module(
     nodes: Iterable[ast.AST],
 ) -> tuple[list[tuple[str, str]], list[SourceSite], list[_Def]]:
     """One pass over a module's nodes: import bindings, source sites, defs.
 
-    The defs come in ``ast.walk`` order, for :func:`_nested_defs`.
+    ``nodes`` are in ``ast.walk`` order; only the :data:`SCAN_KINDS`
+    among them matter.  The defs come in that order, for
+    :func:`_nested_defs`.
     """
     # Later bindings win, matching Python semantics closely enough.
     bindings: dict[str, str] = {}
@@ -642,7 +661,9 @@ class _FunctionWalker:
             names.append(dotted_name(arg) or type(arg).__name__)
         for kw in node.keywords:
             names.append(kw.arg or "**")
-        payload_atoms = tuple(arg_atoms[1:]) + tuple(kw_atoms)
+        payload_atoms = tuple(
+            tuple(sorted(atoms)) for atoms in [*arg_atoms[1:], *kw_atoms]
+        )
         self.submits[(node.lineno, node.col_offset)] = Submit(
             method=func.attr,
             line=node.lineno,
@@ -752,7 +773,12 @@ class _FunctionWalker:
 def _merge_env(a: dict[str, Atoms], b: dict[str, Atoms]) -> dict[str, Atoms]:
     out = dict(a)
     for name, atoms in b.items():
-        out[name] = out.get(name, _EMPTY) | atoms
+        # Branches mostly rejoin with nothing new: keep the set already there.
+        prev = out.get(name)
+        if prev is None:
+            out[name] = atoms
+        elif not atoms <= prev:
+            out[name] = prev | atoms
     return out
 
 
@@ -846,13 +872,7 @@ def _summarize_function(
     # Fold nested functions' sinks/submits/calls into the enclosing
     # summary: they execute in this function's file region and their
     # callees must reach the project call graph.
-    sinks = {
-        (s.kind, s.detail, s.line, s.col): set(s.atoms)
-        for s in (
-            Sink(kind, detail, line, col, frozenset(atoms))
-            for (kind, detail, line, col), atoms in walker.sinks.items()
-        )
-    }
+    sinks = {slot: set(atoms) for slot, atoms in walker.sinks.items()}
     submits = dict(walker.submits)
     calls = dict(walker.calls)
     attr_reads = set(walker.attr_reads)
@@ -878,9 +898,9 @@ def _summarize_function(
         calls=tuple(
             sorted(calls.values(), key=lambda c: (c.line, c.callee))
         ),
-        return_atoms=frozenset(walker.return_atoms),
+        return_atoms=tuple(sorted(walker.return_atoms)),
         sinks=tuple(
-            Sink(kind, detail, line, col, frozenset(atoms))
+            Sink(kind, detail, line, col, tuple(sorted(atoms)))
             for (kind, detail, line, col), atoms in sorted(sinks.items())
         ),
         submits=tuple(
@@ -957,9 +977,10 @@ def summarize_module(
 ) -> tuple[ModuleSummary, tuple[SourceSite, ...]]:
     """Reduce one parsed module to its :class:`ModuleSummary` and source sites.
 
-    ``nodes`` is ``tree`` in ``ast.walk`` order, the list the module rules
-    already share (:attr:`~repro.analysis.core.ModuleContext.nodes`); one
-    pass over it collects the imports and every source site.  The summary
+    ``nodes`` is ``tree``'s nodes in ``ast.walk`` order, or just those of
+    the :data:`SCAN_KINDS` (what the analysis step passes, from its node
+    index :meth:`~repro.analysis.core.ModuleContext.of`); one pass over
+    it collects the imports and every source site.  The summary
     is cached with the file record for the project pass; the sites serve
     only the module rules, which run in the same analysis step, so they
     stay out of it.

@@ -70,11 +70,11 @@ def tainted_returns(
 def sink_taint(
     graph: CallGraph,
     fn_key: str,
-    atoms: frozenset[str],
+    atoms: tuple[str, ...],
     kind: str,
     tainted: dict[str, tuple[str, ...]],
 ) -> tuple[str, ...] | None:
-    """Witness chain if ``atoms`` (observed inside ``fn_key``) carry ``kind``.
+    """Witness chain if sorted ``atoms`` (observed in ``fn_key``) carry ``kind``.
 
     ``()`` means the source is read in ``fn_key`` itself; a non-empty
     chain names the resolved functions the value flowed through.
@@ -83,7 +83,7 @@ def sink_taint(
     if f"src:{kind}" in atoms:
         return ()
     best: tuple[str, ...] | None = None
-    for atom in sorted(atoms):
+    for atom in atoms:
         if not atom.startswith("call:"):
             continue
         target = graph.resolve_atom(fn_key, atom[len("call:"):])

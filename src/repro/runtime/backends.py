@@ -185,8 +185,10 @@ class Backend(Protocol):
     """
 
     name: str
-    #: The ``JobSpec.params`` keys ``run`` reads; ``make_jobspec`` rejects
-    #: any other key, so a typo cannot run the default under its own key.
+    #: The ``JobSpec.config`` and ``JobSpec.params`` keys ``run`` reads;
+    #: ``make_jobspec`` rejects any other key, so a typo cannot run the
+    #: default under its own key.
+    config_keys: frozenset[str]
     param_keys: frozenset[str]
 
     def run(
@@ -204,6 +206,7 @@ class GramerBackend:
 
     name = "gramer"
     system = "GRAMER"
+    config_keys = frozenset(f.name for f in fields(GramerConfig))
     param_keys = frozenset(
         ["use_on1_ranks"] + [f"energy_{f.name}" for f in fields(EnergyParams)]
     )
@@ -274,6 +277,10 @@ class GramerBackend:
         )
 
 
+#: The config keys the CPU baselines read: :class:`CPUConfig`'s fields.
+_CPU_CONFIG_KEYS = frozenset(f.name for f in fields(CPUConfig))
+
+
 def _scaled_cpu_config(spec: JobSpec) -> CPUConfig:
     from repro.experiments import datasets
 
@@ -315,6 +322,7 @@ class FractalBackend:
 
     name = "fractal"
     system = "Fractal"
+    config_keys = _CPU_CONFIG_KEYS
     param_keys = frozenset(["task_overhead_s"])
 
     def _model(self, spec: JobSpec) -> FractalModel:
@@ -344,6 +352,7 @@ class RStreamBackend:
 
     name = "rstream"
     system = "RStream"
+    config_keys = _CPU_CONFIG_KEYS
     param_keys = frozenset(["startup_overhead_s", "max_frontier"])
 
     def _model(self, spec: JobSpec) -> RStreamModel:
@@ -379,6 +388,7 @@ class SoftwareBackend:
 
     name = "software"
     system = "Software"
+    config_keys: frozenset[str] = frozenset()
     param_keys: frozenset[str] = frozenset()
 
     def run(

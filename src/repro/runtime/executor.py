@@ -14,9 +14,9 @@ of :class:`~repro.runtime.spec.JobResult`:
   temporary one.  Results are reported **in spec order** at any width;
 * a sweep with a ledger starts at its **run boundary** (the ledger's
   length now): cells recorded ``ok`` before it whose artifacts still
-  verify come back as ledger stubs (``detail={"resumed": True}``) and
-  earlier failures re-run, so ``--resume`` is ``--ledger`` on a ledger
-  with history (docs/resilience.md §2);
+  verify come back as those cached results, marked ``"resumed": True``
+  in ``detail``, and earlier failures re-run, so ``--resume`` is
+  ``--ledger`` on a ledger with history (docs/resilience.md §2);
 * a job that raises is captured as a failed ``JobResult`` instead of
   aborting the sweep — one poisoned cell never kills its siblings;
 * **transient** failures retry under a
@@ -40,6 +40,7 @@ from __future__ import annotations
 import os
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -173,8 +174,6 @@ def run_spec(
                 retries=attempt - 1,
             )
         break
-    from dataclasses import replace
-
     result = replace(
         result, cache_key=cache.digest(key), retries=attempt - 1
     )
@@ -198,13 +197,33 @@ def _open_graphs(specs: Sequence[JobSpec]) -> None:
             _log.debug("graph prewarm failed for %s: %s", spec.label(), exc)
 
 
-def _from_ledger(spec: JobSpec, entry: LedgerEntry | None) -> JobResult:
-    """A cell's recorded outcome, reported without recomputing it."""
+def _from_ledger(
+    spec: JobSpec, entry: LedgerEntry | None, cache: ArtifactCache | None
+) -> JobResult:
+    """A cell's recorded outcome, reported without recomputing it.
+
+    A completed cell comes back as its result from ``cache``, marked
+    ``"resumed": True`` in ``detail``, so callers read the same payload
+    as from a fresh run; this run spent no time on it (``wall_seconds``
+    0).  Only a cell with no cached result (no cache, or an entry gone
+    since) falls back to the ledger's own record: time, energy and the
+    ``resumed`` mark.
+    """
     if entry is None or not entry.completed:
         error = entry.error if entry is not None else None
         return failed_result(
             spec, error or "ChildProcessError: no sweep worker finished it"
         )
+    if cache is not None:
+        hit, value = cache.lookup(JOB_KIND, spec.cache_key())
+        if hit and isinstance(value, JobResult):
+            return replace(
+                value,
+                detail={**value.detail, "resumed": True},
+                wall_seconds=0.0,
+                cached=True,
+                retries=entry.retries,
+            )
     return JobResult(
         spec=spec,
         system=entry.system or spec.backend,
@@ -373,6 +392,7 @@ class Executor:
                 else Path(scratch) / "ledger.jsonl"
             )
             boundary = ledger_length(path)
+            job_cache = self.cache if self.use_cache else None
             verify = self.use_cache and self.cache.use_disk
             settled = settle(
                 specs,
@@ -383,7 +403,7 @@ class Executor:
             for index, spec in enumerate(specs):
                 entry = settled.get(spec_digest(spec))
                 if entry is not None:
-                    note(index, _from_ledger(spec, entry), False)
+                    note(index, _from_ledger(spec, entry, job_cache), False)
                     continue
                 if self.use_cache:
                     hit, value = self.cache.lookup(JOB_KIND, spec.cache_key())
@@ -441,4 +461,4 @@ class Executor:
             for index in missing:
                 spec = specs[index]
                 entry = after.get(spec_digest(spec))
-                note(index, _from_ledger(spec, entry), False)
+                note(index, _from_ledger(spec, entry, job_cache), False)

@@ -128,27 +128,32 @@ def make_jobspec(
 ) -> JobSpec:
     """Build a :class:`JobSpec`, normalizing override mappings.
 
-    Raises ``ValueError`` for a ``params`` key the backend does not read
-    (its ``param_keys``).
+    Raises ``ValueError`` for a ``config`` or ``params`` key the backend
+    does not read (its ``config_keys`` or ``param_keys``).
     """
+    frozen_config = _freeze_overrides(config, "config")
     frozen_params = _freeze_overrides(params, "params")
-    if frozen_params:
+    if frozen_config or frozen_params:
         from .backends import get_backend  # backends imports this module
 
-        known = get_backend(backend).param_keys
-        unknown = [key for key, _ in frozen_params if key not in known]
-        if unknown:
-            raise ValueError(
-                f"backend {backend!r} reads no params {unknown}; "
-                f"its params are {sorted(known)}"
-            )
+        reader = get_backend(backend)
+        for frozen, known, label in (
+            (frozen_config, reader.config_keys, "config keys"),
+            (frozen_params, reader.param_keys, "params"),
+        ):
+            unknown = [key for key, _ in frozen if key not in known]
+            if unknown:
+                raise ValueError(
+                    f"backend {backend!r} reads no {label} {unknown}; "
+                    f"its {label} are {sorted(known)}"
+                )
     return JobSpec(
         backend=backend,
         app=app,
         dataset=dataset,
         scale=scale,
         graph_path=graph_path,
-        config=_freeze_overrides(config, "config"),
+        config=frozen_config,
         params=frozen_params,
         seed=seed,
     )

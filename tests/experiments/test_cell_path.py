@@ -16,6 +16,7 @@ from repro.experiments.harness import run_cells
 from repro.runtime import backends
 from repro.runtime.cache import ArtifactCache
 from repro.runtime.executor import Executor
+from repro.runtime.ledger import RunLedger
 from repro.runtime.spec import JobResult, failed_result
 
 _DETAIL = {
@@ -176,3 +177,24 @@ def test_failing_module_becomes_a_failure_report(tmp_path, monkeypatch):
     text = (tmp_path / "fig12.txt").read_text("utf-8")
     assert text == "fig12 FAILED: RuntimeError: boom\n"
     assert "Table II" in (tmp_path / "table2.txt").read_text("utf-8")
+
+
+def test_resumed_ledger_cells_carry_their_result(tmp_path):
+    path = tmp_path / "run.jsonl"
+    rows = [
+        fig13_pipeline.run_work_stealing(
+            "tiny",
+            graphs=["citeseer"],
+            executor=Executor(jobs=1, ledger=RunLedger(path)),
+        )
+        for _ in range(2)
+    ]
+    assert rows[1] == rows[0]
+
+    spec = _table3_gramer("3-CF", "citeseer")
+    first, second = (
+        Executor(jobs=1, ledger=RunLedger(path)).run([spec])[0]
+        for _ in range(2)
+    )
+    assert "resumed" not in first.detail
+    assert second.detail == {**first.detail, "resumed": True}
