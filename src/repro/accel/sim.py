@@ -34,7 +34,8 @@ Implementation
   The sets, ways, lines and cutoffs come from one
   :class:`~repro.memory.hierarchy.LAMHGeometry` per run, and the run's
   counts become a :class:`~repro.memory.hierarchy.LAMHReport`
-  (``self.hierarchy``) for ``gramer profile``.
+  (``self.hierarchy``, also handed to an instrument's ``finish_run``) for
+  ``gramer profile``.
 * **Batched slot state.**  Per-slot clocks and recorded-op queues (plain
   int lists, filled by their own ``append``) are parallel lists indexed by
   global slot id; work stealing is the shared
@@ -714,5 +715,5 @@ class GramerSimulator:
         )
 
         if ins is not None:
-            ins.finish_run(stats, sum(pu_busy))
+            ins.finish_run(stats, sum(pu_busy), self.hierarchy)
         return SimResult(stats=stats, mining=app.result(), config=cfg)

@@ -31,7 +31,6 @@ import argparse
 import time
 
 from repro.accel.energy import gramer_energy
-from repro.accel.sim import make_simulator
 from repro.experiments import EXPERIMENTS
 from repro.graph.stats import degree_stats
 from repro.mining.apps import make_app
@@ -85,6 +84,7 @@ def _cmd_mine(args) -> None:
 
 def _cmd_simulate(args) -> None:
     from repro.accel.config import GramerConfig
+    from repro.accel.sim import make_simulator
 
     app = make_app(args.app)
     graph = _resolve_graph(args, app.needs_labels)
@@ -144,6 +144,24 @@ EXIT_PARTIAL = 3
 EXIT_INTERRUPTED = 130
 
 
+def _check_names(backends=(), datasets=()) -> None:
+    """Exit naming the first unknown backend, else the first unknown dataset."""
+    from repro.experiments.datasets import DATASETS
+    from repro.runtime import backend_names
+
+    known = backend_names()
+    for backend in backends:
+        if backend not in known:
+            raise SystemExit(
+                f"unknown backend {backend!r}; registered: {known}"
+            )
+    for name in datasets:
+        if name not in DATASETS:
+            raise SystemExit(
+                f"unknown dataset {name!r}; see `gramer datasets`"
+            )
+
+
 def _sweep_specs(args) -> list:
     """Build the apps × datasets × backends grid shared by ``sweep``,
     ``worker``, and ``manifest`` — all three must derive the *same*
@@ -151,21 +169,10 @@ def _sweep_specs(args) -> list:
     """
     from repro.experiments import datasets
     from repro.experiments.harness import cell_jobspec
-    from repro.runtime import backend_names
 
     backends = args.backends or ["gramer", "fractal", "rstream"]
-    known = backend_names()
-    for backend in backends:
-        if backend not in known:
-            raise SystemExit(
-                f"unknown backend {backend!r}; registered: {known}"
-            )
     graphs = args.datasets or list(datasets.DATASET_ORDER)
-    for name in graphs:
-        if name not in datasets.DATASETS:
-            raise SystemExit(
-                f"unknown dataset {name!r}; see `gramer datasets`"
-            )
+    _check_names(backends=backends, datasets=graphs)
     return [
         cell_jobspec(backend, app, graph, args.scale)
         for app in args.apps
@@ -462,14 +469,13 @@ def _cmd_memprofile(args) -> None:
     """Access-traced runs + locality report (docs/access-patterns.md)."""
     import json
 
-    from repro.experiments import datasets
     from repro.obs import (
         compare_reports,
         render_memprofile,
         render_memprofile_compare,
         render_memprofile_markdown,
     )
-    from repro.runtime import backend_names, default_cache
+    from repro.runtime import default_cache
 
     if args.graph:
         raise SystemExit(
@@ -478,17 +484,9 @@ def _cmd_memprofile(args) -> None:
         )
     if not args.dataset:
         raise SystemExit("specify --dataset NAME (see `gramer datasets`)")
-    if args.dataset not in datasets.DATASETS:
-        raise SystemExit(
-            f"unknown dataset {args.dataset!r}; see `gramer datasets`"
-        )
+    _check_names(datasets=[args.dataset])
     backends = list(args.compare) if args.compare else args.backends
-    known = backend_names()
-    for backend in backends:
-        if backend not in known:
-            raise SystemExit(
-                f"unknown backend {backend!r}; registered: {known}"
-            )
+    _check_names(backends=backends)
     channel = {
         "row_bytes": args.row_bytes,
         "streams": args.streams,
@@ -521,15 +519,11 @@ def _cmd_memprofile(args) -> None:
 
 def _cmd_trace(args) -> None:
     """Traced run of one (app, dataset) cell; writes Chrome-trace JSON."""
-    from repro.experiments import datasets
     from repro.experiments.harness import cell_jobspec
     from repro.obs import SimInstrument, Tracer
     from repro.runtime import Executor
 
-    if args.dataset not in datasets.DATASETS:
-        raise SystemExit(
-            f"unknown dataset {args.dataset!r}; see `gramer datasets`"
-        )
+    _check_names(datasets=[args.dataset])
     tracer = Tracer()
     instrument = SimInstrument(tracer=tracer, window_cycles=args.window)
     spec = cell_jobspec("gramer", args.app, args.dataset, args.scale)
@@ -554,29 +548,40 @@ def _cmd_trace(args) -> None:
 
 def _cmd_profile(args) -> None:
     """Instrumented run + text profile report (docs/observability.md)."""
-    from repro.accel.config import GramerConfig
+    from repro.experiments.harness import gramer_spec
     from repro.obs import MetricsRegistry, SimInstrument, render_profile
+    from repro.runtime import make_jobspec, run_spec
 
-    app = make_app(args.app)
-    graph = _resolve_graph(args, app.needs_labels)
-    data_entries = graph.num_vertices + len(graph.neighbors)
-    config = GramerConfig(
-        onchip_entries=args.onchip_entries or max(64, data_entries // 4),
+    graph = _resolve_graph(args, needs_labels=False)
+    entries = args.onchip_entries or max(
+        64, (graph.num_vertices + len(graph.neighbors)) // 4
     )
+    if args.graph:
+        spec = make_jobspec(
+            "gramer",
+            args.app,
+            graph_path=args.graph,
+            config={"onchip_entries": entries},
+        )
+    else:
+        spec = gramer_spec(
+            args.app, args.dataset, args.scale, onchip_entries=entries
+        )
     registry = MetricsRegistry()
     instrument = SimInstrument(
         window_cycles=args.window, registry=registry
     )
-    # After the run ``sim.hierarchy`` is the LAMH counts report, whose
-    # publish/pressure views the report below reads.
-    sim = make_simulator(graph, config, instrument=instrument)
-    result = sim.run(app)
-    sim.hierarchy.publish(registry)
+    result = run_spec(spec, instrument=instrument)
+    if not result.ok:
+        raise SystemExit(f"profile run failed: {result.error}")
+    # The LAMH counts report handed to the instrument at the run's end
+    # publishes its own metrics and the cache-set pressure view.
+    instrument.hierarchy.publish(registry)
     print(
         render_profile(
-            result.stats,
+            instrument.stats,
             instrument=instrument,
-            pressure=sim.hierarchy.low_cache_pressure(),
+            pressure=instrument.hierarchy.low_cache_pressure(),
         )
     )
     if args.metrics:
@@ -841,18 +846,24 @@ def main(argv: list[str] | None = None) -> None:
                             help="recompute cells instead of reusing cached results")
     experiment.set_defaults(func=_cmd_experiment)
 
+    # The grid flags of sweep, worker and manifest, which must all build
+    # the same spec list (_sweep_specs) from the same values.
+    grid_apps = argparse.ArgumentParser(add_help=False)
+    grid_apps.add_argument("--apps", nargs="+", required=True,
+                           help="applications, e.g. 3-CF 4-MC FSM-100")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--datasets", nargs="*", default=None,
+                      help="proxy datasets (default: all seven)")
+    grid.add_argument("--backends", nargs="*", default=None,
+                      help="backends (default: gramer fractal rstream)")
+    grid.add_argument("--scale", default="small",
+                      choices=["tiny", "small", "full"])
+
     sweep = sub.add_parser(
         "sweep",
+        parents=[grid_apps, grid],
         help="run a cross-product of apps × datasets × backends",
     )
-    sweep.add_argument("--apps", nargs="+", required=True,
-                       help="applications, e.g. 3-CF 4-MC FSM-100")
-    sweep.add_argument("--datasets", nargs="*", default=None,
-                       help="proxy datasets (default: all seven)")
-    sweep.add_argument("--backends", nargs="*", default=None,
-                       help="backends (default: gramer fractal rstream)")
-    sweep.add_argument("--scale", default="small",
-                       choices=["tiny", "small", "full"])
     sweep.add_argument("--jobs", type=int, default=None,
                        help="claim/lease sweep workers to fork "
                             "(default: $GRAMER_JOBS or 1)")
@@ -890,17 +901,10 @@ def main(argv: list[str] | None = None) -> None:
 
     workerp = sub.add_parser(
         "worker",
+        parents=[grid_apps, grid],
         help="join a distributed sweep: claim grid cells from a shared "
              "ledger, with straggler takeover (docs/resilience.md)",
     )
-    workerp.add_argument("--apps", nargs="+", required=True,
-                         help="applications, e.g. 3-CF 4-MC FSM-100")
-    workerp.add_argument("--datasets", nargs="*", default=None,
-                         help="proxy datasets (default: all seven)")
-    workerp.add_argument("--backends", nargs="*", default=None,
-                         help="backends (default: gramer fractal rstream)")
-    workerp.add_argument("--scale", default="small",
-                         choices=["tiny", "small", "full"])
     workerp.add_argument("--ledger", required=True, metavar="PATH",
                          help="the sweep's shared JSONL journal")
     workerp.add_argument("--claims", required=True, metavar="DIR",
@@ -924,26 +928,16 @@ def main(argv: list[str] | None = None) -> None:
         dest="manifest_command", required=True
     )
 
-    m_common = argparse.ArgumentParser(add_help=False)
-    m_common.add_argument("--datasets", nargs="*", default=None,
-                          help="proxy datasets (default: all seven)")
-    m_common.add_argument("--backends", nargs="*", default=None,
-                          help="backends (default: gramer fractal rstream)")
-    m_common.add_argument("--scale", default="small",
-                          choices=["tiny", "small", "full"])
-
     m_seal = manifest_sub.add_parser(
-        "seal", parents=[m_common],
+        "seal", parents=[grid, grid_apps],
         help="bind every grid cell's cached artifact checksum into one "
              "root-hashed manifest file",
     )
     m_seal.add_argument("path", help="manifest JSON output path")
-    m_seal.add_argument("--apps", nargs="+", required=True,
-                        help="applications, e.g. 3-CF 4-MC FSM-100")
     m_seal.set_defaults(func=_cmd_manifest_seal)
 
     m_verify = manifest_sub.add_parser(
-        "verify", parents=[m_common],
+        "verify", parents=[grid],
         help="recompute the Merkle root and re-checksum every manifested "
              "artifact (corrupt ones are quarantined and named)",
     )

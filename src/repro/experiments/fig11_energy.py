@@ -22,37 +22,30 @@ from __future__ import annotations
 import math
 
 from repro.runtime.executor import Executor
+from repro.runtime.spec import JobResult
 
 from . import datasets
-from .harness import (
-    CellResult,
-    format_table,
-    run_fractal_cell,
-    run_gramer_cell,
-    run_rstream_cell,
-)
+from .harness import cell_jobspec, format_table, run_jobs
 from .datasets import DATASET_ORDER
-from .table3_runtime import run as run_table3
+from .table3_runtime import by_cell, run as run_table3
 
 __all__ = ["run", "run_energy", "run_total_time", "render", "main"]
 
 
 def run_energy(
     scale: str = "small",
-    cells: list[CellResult] | None = None,
+    cells: list[JobResult] | None = None,
     executor: Executor | None = None,
 ) -> list[dict]:
     """Per graph: normalised baseline energy (min/mean/max over apps).
 
-    Without ``cells``, Table III's whole grid runs through ``executor``.
+    Without ``cells`` (Table III's results), Table III's whole grid runs
+    through ``executor``.
     """
     if cells is None:
         cells = run_table3(scale, executor=executor)
     by_graph: dict[str, dict[str, list[float]]] = {}
-    grouped: dict[tuple[str, str], dict[str, CellResult]] = {}
-    for cell in cells:
-        grouped.setdefault((cell.app, cell.graph), {})[cell.system] = cell
-    for (app, graph), systems in grouped.items():
+    for (app, graph), systems in by_cell(cells).items():
         gramer = systems.get("GRAMER")
         if gramer is None or not gramer.energy_j:
             continue
@@ -89,15 +82,29 @@ def modeled_preprocessing_seconds(graph) -> float:
     return ops * _PREPROC_SECONDS_PER_OP
 
 
-def run_total_time(scale: str = "small", app: str = "4-MC") -> list[dict]:
-    """Fig. 11b: preprocessing + execution vs baselines, per graph."""
+def run_total_time(
+    scale: str = "small",
+    app: str = "4-MC",
+    executor: Executor | None = None,
+) -> list[dict]:
+    """Fig. 11b: preprocessing + execution vs baselines, per graph.
+
+    Its cells are Table III's ``app`` cells, run through ``executor``.
+    """
+    systems = ("gramer", "fractal", "rstream")
+    specs = {
+        (graph_name, backend): cell_jobspec(backend, app, graph_name, scale)
+        for graph_name in DATASET_ORDER
+        for backend in systems
+    }
+    results = run_jobs(specs.values(), executor)
     rows = []
     for graph_name in DATASET_ORDER:
         graph = datasets.load(graph_name, scale)
         preproc_s = modeled_preprocessing_seconds(graph)
-        gramer = run_gramer_cell(app, graph_name, scale)
-        fractal = run_fractal_cell(app, graph_name, scale)
-        rstream = run_rstream_cell(app, graph_name, scale)
+        gramer, fractal, rstream = (
+            results[specs[graph_name, backend]] for backend in systems
+        )
         rows.append(
             {
                 "graph": graph_name,
@@ -113,13 +120,14 @@ def run_total_time(scale: str = "small", app: str = "4-MC") -> list[dict]:
 
 def run(
     scale: str = "small",
-    cells: list[CellResult] | None = None,
+    cells: list[JobResult] | None = None,
     executor: Executor | None = None,
 ) -> dict[str, list[dict]]:
-    """Both panels: ``energy`` (from ``cells`` if given) and ``total_time``."""
+    """Both panels: ``energy`` (from ``cells`` if given) and ``total_time``,
+    their cells run through ``executor``."""
     return {
         "energy": run_energy(scale, cells=cells, executor=executor),
-        "total_time": run_total_time(scale),
+        "total_time": run_total_time(scale, executor=executor),
     }
 
 

@@ -3,68 +3,39 @@
 Every ``figNN_*``/``tableN_*`` module produces plain-dict rows through the
 helpers here.  A cell is a :class:`~repro.runtime.spec.JobSpec` run by a
 :mod:`repro.runtime` backend (cell semantics such as fixed overheads and
-energy live in :mod:`repro.runtime.backends`): :func:`run_cells` and
-:func:`sweep` submit a figure's cells through one
-:class:`~repro.runtime.executor.Executor` (artifact cache included), and
-the ``run_*_cell`` helpers run one cell inline as a :class:`CellResult`.
+energy live in :mod:`repro.runtime.backends`), and its outcome is the
+backend's :class:`~repro.runtime.spec.JobResult`: :func:`run_jobs`,
+:func:`run_cells` and :func:`sweep` submit a figure's cells through one
+:class:`~repro.runtime.executor.Executor` (artifact cache included).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
-from repro.accel.config import GramerConfig
-from repro.accel.energy import EnergyParams
-from repro.baselines.cpu import CPUConfig
 from repro.runtime.backends import build_app, experiment_config
-from repro.runtime.executor import Executor, run_spec
+from repro.runtime.executor import Executor
 from repro.runtime.spec import JobResult, JobSpec, json_safe_keys, make_jobspec
 
 from . import datasets
 
 __all__ = [
-    "CellResult",
     "experiment_config",
     "build_app",
     "cell_jobspec",
     "gramer_spec",
     "onchip_entries",
-    "cell_from_result",
-    "run_cell",
+    "run_jobs",
     "run_cells",
     "sweep",
     "normalized_rows",
-    "run_gramer_cell",
-    "run_fractal_cell",
-    "run_rstream_cell",
     "format_table",
     "format_seconds",
     "save_results",
 ]
-
-
-@dataclass(frozen=True)
-class CellResult:
-    """One (system, app, graph) measurement."""
-
-    system: str
-    app: str
-    graph: str
-    seconds: float | None  # modeled runtime; None = failed (N/A)
-    energy_j: float | None
-    wall_seconds: float  # host time spent producing the cell
-    detail: dict
-
-
-def _config_overrides(config, defaults) -> dict:
-    """Reduce a config dataclass to the fields that differ from defaults."""
-    if config is None:
-        return {}
-    base = asdict(defaults)
-    return {k: v for k, v in asdict(config).items() if base[k] != v}
 
 
 def cell_jobspec(
@@ -98,8 +69,12 @@ def gramer_spec(
     Only overrides that differ from :func:`experiment_config` enter the
     spec, so a default-valued sweep point is Table III's own cell.
     """
-    defaults = experiment_config()
-    config = _config_overrides(experiment_config(**overrides), defaults)
+    defaults = asdict(experiment_config())
+    config = {
+        key: value
+        for key, value in asdict(experiment_config(**overrides)).items()
+        if defaults[key] != value
+    }
     return cell_jobspec("gramer", app_name, graph_name, scale, config, params)
 
 
@@ -109,43 +84,30 @@ def onchip_entries(graph_name: str, scale: str, fraction: float) -> int:
     return max(64, int(fraction * (graph.num_vertices + len(graph.neighbors))))
 
 
-def cell_from_result(result: JobResult) -> CellResult:
-    """Convert a runtime JobResult into the legacy CellResult shape."""
-    return CellResult(
-        system=result.system,
-        app=result.spec.app,
-        graph=result.spec.graph_name,
-        seconds=result.seconds,
-        energy_j=result.energy_j,
-        wall_seconds=result.wall_seconds,
-        detail=result.detail,
-    )
-
-
-def run_cell(spec: JobSpec) -> CellResult:
-    """Execute one cell spec through the backend registry and its cache."""
-    result = run_spec(spec)
-    if not result.ok:
-        raise RuntimeError(f"cell {spec.label()} failed: {result.error}")
-    return cell_from_result(result)
-
-
-def run_cells(
-    specs: Mapping[Any, JobSpec], executor: Executor | None = None
-) -> dict[Any, dict]:
+def run_jobs(
+    specs: Iterable[JobSpec], executor: Executor | None = None
+) -> dict[JobSpec, JobResult]:
     """Run each distinct spec once through ``executor`` (default: inline).
 
-    Returns key -> the cell's detail; a failed cell raises, as
-    :func:`run_cell` does.
+    Returns spec -> its result, in first-submission order; a failed cell
+    raises ``RuntimeError``.
     """
     executor = executor if executor is not None else Executor()
-    distinct = list(dict.fromkeys(specs.values()))
+    distinct = list(dict.fromkeys(specs))
     results = dict(zip(distinct, executor.run(distinct)))
     for result in results.values():
         if not result.ok:
             raise RuntimeError(
                 f"cell {result.spec.label()} failed: {result.error}"
             )
+    return results
+
+
+def run_cells(
+    specs: Mapping[Any, JobSpec], executor: Executor | None = None
+) -> dict[Any, dict]:
+    """:func:`run_jobs` over ``specs``' values; key -> the cell's detail."""
+    results = run_jobs(specs.values(), executor)
     return {key: results[spec].detail for key, spec in specs.items()}
 
 
@@ -187,63 +149,6 @@ def normalized_rows(
         ratios = {point: cycles[reference] / c for point, c in cycles.items()}
         rows.append({"graph": graph, "cycles": cycles, key: ratios})
     return rows
-
-
-def run_gramer_cell(
-    app_name: str,
-    graph_name: str,
-    scale: str = "small",
-    config: GramerConfig | None = None,
-    energy_params: EnergyParams | None = None,
-) -> CellResult:
-    """Simulate GRAMER for one Table III cell."""
-    params = {
-        f"energy_{k}": v
-        for k, v in _config_overrides(energy_params, EnergyParams()).items()
-    }
-    # energy_params with all-default fields must still reach the backend.
-    if energy_params is not None and not params:
-        params = {"energy_static_w": EnergyParams().static_w}
-    fields = asdict(config) if config is not None else {}
-    return run_cell(
-        gramer_spec(app_name, graph_name, scale, params=params, **fields)
-    )
-
-
-def run_fractal_cell(
-    app_name: str,
-    graph_name: str,
-    scale: str = "small",
-    cpu_config: CPUConfig | None = None,
-) -> CellResult:
-    """Run the Fractal-model baseline for one cell."""
-    spec = cell_jobspec(
-        "fractal",
-        app_name,
-        graph_name,
-        scale,
-        config=_config_overrides(cpu_config, datasets.scaled_cpu_config(scale)),
-    )
-    return run_cell(spec)
-
-
-def run_rstream_cell(
-    app_name: str,
-    graph_name: str,
-    scale: str = "small",
-    cpu_config: CPUConfig | None = None,
-    max_frontier: int = 2_000_000,
-) -> CellResult:
-    """Run the RStream-model baseline for one cell."""
-    spec = cell_jobspec(
-        "rstream",
-        app_name,
-        graph_name,
-        scale,
-        config=_config_overrides(cpu_config, datasets.scaled_cpu_config(scale)),
-        params={"max_frontier": max_frontier} if max_frontier != 2_000_000 else None,
-    )
-    return run_cell(spec)
 
 
 def format_seconds(seconds: float | None) -> str:

@@ -9,15 +9,17 @@ next to the paper's speedup for the same cell.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.obs.log import console, get_logger
 from repro.runtime.executor import Executor
 from repro.runtime.spec import JobResult, JobSpec
 
-from .harness import CellResult, cell_from_result, cell_jobspec, format_seconds, format_table
+from .harness import cell_jobspec, format_seconds, format_table
 from .datasets import DATASET_ORDER
 from .paper_data import TABLE3_APPS, paper_speedup
 
-__all__ = ["run", "render", "main", "speedup_rows", "cell_specs"]
+__all__ = ["run", "render", "main", "speedup_rows", "cell_specs", "by_cell"]
 
 _log = get_logger("experiments.table3")
 
@@ -46,8 +48,8 @@ def run(
     graphs: list[str] | None = None,
     verbose: bool = False,
     executor: Executor | None = None,
-) -> list[CellResult]:
-    """Run every requested cell for all three systems.
+) -> list[JobResult]:
+    """Run every requested cell for all three systems; return the ok ones.
 
     All cells are submitted through one :class:`~repro.runtime.Executor`
     (serial inline by default; pass ``executor=Executor(jobs=N)`` or set
@@ -73,27 +75,31 @@ def run(
     failures = [r for r in results if not r.ok]
     for failure in failures:
         _log.warning("FAILED %s: %s", failure.spec.label(), failure.error)
-    return [cell_from_result(r) for r in results if r.ok]
+    return [r for r in results if r.ok]
 
 
-def _by_cell(cells: list[CellResult]) -> dict[tuple[str, str], dict[str, CellResult]]:
-    table: dict[tuple[str, str], dict[str, CellResult]] = {}
-    for cell in cells:
-        table.setdefault((cell.app, cell.graph), {})[cell.system] = cell
+def by_cell(
+    results: Iterable[JobResult],
+) -> dict[tuple[str, str], dict[str, JobResult]]:
+    """(app, graph) -> system name -> that cell's result."""
+    table: dict[tuple[str, str], dict[str, JobResult]] = {}
+    for result in results:
+        key = (result.spec.app, result.spec.graph_name)
+        table.setdefault(key, {})[result.system] = result
     return table
 
 
-def speedup_rows(cells: list[CellResult]) -> list[dict]:
+def speedup_rows(cells: list[JobResult]) -> list[dict]:
     """Per (app, graph): modeled seconds, speedups, and paper speedups."""
     rows = []
-    for (app, graph), systems in sorted(_by_cell(cells).items()):
+    for (app, graph), systems in sorted(by_cell(cells).items()):
         gramer = systems.get("GRAMER")
         fractal = systems.get("Fractal")
         rstream = systems.get("RStream")
         if gramer is None or gramer.seconds is None:
             continue
 
-        def ratio(base: CellResult | None) -> float | None:
+        def ratio(base: JobResult | None) -> float | None:
             if base is None or base.seconds is None:
                 return None
             return base.seconds / gramer.seconds

@@ -3,8 +3,8 @@
 Three pillars (see ``docs/observability.md``):
 
 * :mod:`repro.obs.metrics` — a process-local registry of labeled
-  counters/gauges/histograms that ``SimStats``, the memory hierarchy, and
-  the artifact cache publish into;
+  counters/gauges/histograms that ``SimStats`` and the memory hierarchy's
+  ``LAMHReport`` publish into;
 * :mod:`repro.obs.tracer` — structured spans/instants serialized to JSONL
   and Chrome-trace (Perfetto-loadable) formats, with :class:`NullTracer`
   as the zero-overhead disabled path;

@@ -20,7 +20,7 @@ per slot) and the closed timeline windows, both of which feed the
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+from typing import TYPE_CHECKING, Callable, Protocol
 
 from .access import ACCESS_ENTRY_BYTES, AccessTrace
 from .metrics import MetricsRegistry
@@ -35,6 +35,9 @@ from .tracer import (
     SIM_PID_BASE,
     Tracer,
 )
+
+if TYPE_CHECKING:
+    from repro.memory.hierarchy import LAMHReport
 
 __all__ = [
     "SimInstrument",
@@ -68,6 +71,10 @@ class SimInstrument:
         self.registry = registry
         self.sampler = TimelineSampler(window_cycles)
         self.steal_latencies: list[int] = []
+        # The run's end-of-run stats and LAMH counts report, as handed to
+        # :meth:`finish_run` (``None`` until then).
+        self.stats: _StatsLike | None = None
+        self.hierarchy: "LAMHReport | None" = None
         # (pu, slot) -> (first failed attempt cycle, attempt count) for the
         # steal-wait spell currently in progress.
         self._steal_wait: dict[tuple[int, int], tuple[int, int]] = {}
@@ -94,8 +101,19 @@ class SimInstrument:
         for window in self.sampler.advance(now, stats, active_slots):
             self._emit_window(window)
 
-    def finish_run(self, stats: _StatsLike, active_slots: int) -> None:
-        """Flush the final timeline window and publish end-of-run metrics."""
+    def finish_run(
+        self,
+        stats: _StatsLike,
+        active_slots: int,
+        hierarchy: "LAMHReport | None" = None,
+    ) -> None:
+        """Flush the final timeline window and publish end-of-run metrics.
+
+        Keeps ``stats`` and the run's LAMH ``hierarchy`` report for
+        readers that only see the instrument (``gramer profile``).
+        """
+        self.stats = stats
+        self.hierarchy = hierarchy
         for window in self.sampler.finish(stats.cycles, stats, active_slots):
             self._emit_window(window)
         registry = self.registry

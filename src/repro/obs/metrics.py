@@ -1,9 +1,9 @@
 """Metrics registry — counters, gauges, and histograms with label support.
 
 The first pillar of the observability subsystem: a process-local registry
-that :class:`~repro.accel.stats.SimStats`, the memory hierarchy, and the
-artifact cache publish into, so one ``gramer profile`` run (or a test) can
-read every subsystem's numbers through a single interface.
+that :class:`~repro.accel.stats.SimStats` and the memory hierarchy's
+:class:`~repro.memory.hierarchy.LAMHReport` publish into, so one ``gramer
+profile`` run (or a test) can read both through a single interface.
 
 Design points:
 

@@ -107,10 +107,14 @@ def experiment_config(**overrides: Any) -> GramerConfig:
 
 
 def build_app(app_name: str, graph_name: str, scale: str) -> Application:
-    """Instantiate a Table III application variant for one dataset."""
+    """Instantiate a Table III application variant for one dataset.
+
+    Bare ``FSM`` runs at the dataset's calibrated support threshold;
+    ``FSM-<t>`` runs at ``t``.
+    """
     from repro.experiments import datasets
 
-    if app_name.upper().startswith("FSM"):
+    if app_name.strip().upper() == "FSM":
         threshold = datasets.fsm_threshold(graph_name, scale)
         return make_app(f"FSM-{threshold}")
     return make_app(app_name)

@@ -166,9 +166,9 @@ class JobResult:
     ``ok=False`` marks a job that raised (or timed out); ``error`` then
     carries ``"ExceptionType: message"``.  A model-level N/A (e.g. RStream
     out of disk) is still ``ok=True`` with ``seconds=None`` — the job ran
-    and produced the paper's N/A cell.  ``detail`` mirrors the legacy
-    ``CellResult.detail`` payload so migrated harness callers see
-    byte-identical data.
+    and produced the paper's N/A cell.  ``detail`` is the backend's
+    per-cell payload (cycles, hit ratios, mining counts, ...) that the
+    experiment modules read.
 
     ``retries`` counts the *failed attempts that preceded this outcome*
     (0 = first try) across both in-process retries and executor-level

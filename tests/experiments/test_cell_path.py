@@ -1,5 +1,7 @@
 """The figure sweeps run their cells as job specs through one Executor."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments import (
@@ -113,6 +115,37 @@ def test_fig11_energy_defaults_to_the_table3_grid():
     executor = _RecordingExecutor()
     fig11_energy.run_energy("tiny", executor=executor)
     assert executor.batches == [table3_runtime.cell_specs("tiny")]
+
+
+def test_fig11_total_time_submits_its_table3_cells():
+    class Timed(_RecordingExecutor):
+        def run(self, specs, progress=None):
+            return [replace(r, seconds=1.0) for r in super().run(specs)]
+
+    executor = Timed()
+    fig11_energy.run_total_time("tiny", executor=executor)
+    assert executor.batches == [table3_runtime.cell_specs("tiny", ["4-MC"])]
+    assert len(executor.submitted) == 21  # 7 graphs x 3 systems
+
+
+def test_fig11_total_time_honours_no_cache(monkeypatch):
+    fig11_energy.run_total_time("tiny", app="3-CF")  # warms the cache
+    calls = []
+    real = backends.GramerBackend.run
+
+    def counting(self, spec, **kwargs):
+        calls.append(spec)
+        return real(self, spec, **kwargs)
+
+    monkeypatch.setattr(backends.GramerBackend, "run", counting)
+    fig11_energy.run_total_time(
+        "tiny", app="3-CF", executor=Executor(use_cache=False)
+    )
+    assert calls == [
+        spec
+        for spec in table3_runtime.cell_specs("tiny", ["3-CF"])
+        if spec.backend == "gramer"
+    ]
 
 
 def test_failed_cell_raises():

@@ -7,15 +7,15 @@ import pytest
 from repro.experiments import paper_data
 from repro.experiments.harness import (
     build_app,
+    cell_jobspec,
     experiment_config,
     format_seconds,
     format_table,
-    run_fractal_cell,
-    run_gramer_cell,
-    run_rstream_cell,
+    gramer_spec,
     save_results,
 )
 from repro.mining.apps import CliqueFinding, FrequentSubgraphMining
+from repro.runtime import make_jobspec, run_spec
 
 
 class TestFormatting:
@@ -59,6 +59,16 @@ class TestBuildApp:
         assert isinstance(app, FrequentSubgraphMining)
         assert app.threshold == datasets.fsm_threshold("mico", "tiny")
 
+    def test_explicit_fsm_threshold_is_kept_on_a_dataset(self):
+        from repro.experiments import datasets
+
+        def threshold(app):
+            spec = make_jobspec("software", app, dataset="p2p", scale="tiny")
+            return run_spec(spec).detail["summary"]["threshold"]
+
+        assert threshold("FSM-100") == 100
+        assert threshold("FSM") == datasets.fsm_threshold("p2p", "tiny")
+
     def test_experiment_config_defaults(self):
         from repro.experiments import datasets
 
@@ -69,7 +79,7 @@ class TestBuildApp:
 
 class TestCells:
     def test_gramer_cell(self):
-        cell = run_gramer_cell("3-CF", "citeseer", "tiny")
+        cell = run_spec(cell_jobspec("gramer", "3-CF", "citeseer", "tiny"))
         assert cell.system == "GRAMER"
         assert cell.seconds > 0
         assert cell.energy_j > 0
@@ -78,22 +88,18 @@ class TestCells:
     def test_fractal_cell(self):
         from repro.runtime.backends import SCALE_OVERHEADS
 
-        cell = run_fractal_cell("3-CF", "citeseer", "tiny")
+        cell = run_spec(cell_jobspec("fractal", "3-CF", "citeseer", "tiny"))
         assert cell.system == "Fractal"
         # Includes the scale-matched fixed task overhead.
         assert cell.seconds > SCALE_OVERHEADS["tiny"].fractal_task_s
 
     def test_rstream_cell(self):
-        cell = run_rstream_cell("3-CF", "citeseer", "tiny")
+        cell = run_spec(cell_jobspec("rstream", "3-CF", "citeseer", "tiny"))
         assert cell.system == "RStream"
         assert cell.seconds is not None
 
     def test_custom_config_routes_through_runtime(self):
-        from repro.experiments.harness import experiment_config
-
-        cell = run_gramer_cell(
-            "3-CF", "citeseer", "tiny", config=experiment_config(num_pus=2)
-        )
+        cell = run_spec(gramer_spec("3-CF", "citeseer", "tiny", num_pus=2))
         assert cell.system == "GRAMER"
         assert cell.detail["cycles"] > 0
 
@@ -109,9 +115,8 @@ class TestCells:
 
     def test_systems_agree_on_counts(self):
         cells = [
-            run_gramer_cell("3-CF", "p2p", "tiny"),
-            run_fractal_cell("3-CF", "p2p", "tiny"),
-            run_rstream_cell("3-CF", "p2p", "tiny"),
+            run_spec(cell_jobspec(backend, "3-CF", "p2p", "tiny"))
+            for backend in ("gramer", "fractal", "rstream")
         ]
         counts = {
             json.dumps(c.detail["embeddings"], sort_keys=True) for c in cells
